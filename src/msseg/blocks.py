@@ -10,8 +10,7 @@ generator in train mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +41,15 @@ def he_uniform(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarra
 
 @dataclass
 class ConvParams:
-    """One convolution's weight and optional bias."""
+    """One convolution's weight and bias."""
 
     w: Tensor
-    b: Optional[Tensor]
+    b: Tensor
 
     @classmethod
-    def create(cls, rng, in_ch: int, out_ch: int, k: int, bias: bool = True) -> "ConvParams":
+    def create(cls, rng, in_ch: int, out_ch: int, k: int) -> "ConvParams":
         w = Tensor(he_uniform(rng, (out_ch, in_ch, k, k), in_ch * k * k), requires_grad=True)
-        b = Tensor(np.zeros(out_ch), requires_grad=True) if bias else None
-        return cls(w, b)
+        return cls(w, Tensor(np.zeros(out_ch), requires_grad=True))
 
     @property
     def in_channels(self) -> int:
@@ -130,18 +128,6 @@ class DenseBlockParams:
         return cls(
             [DenseLayerParams.create(rng, in_ch + i * growth, growth, dropout_p) for i in range(n_layers)]
         )
-
-    @property
-    def growth(self) -> int:
-        return self.layers[0].conv.out_channels
-
-    @property
-    def in_channels(self) -> int:
-        return self.layers[0].conv.in_channels
-
-    @property
-    def out_channels(self) -> int:
-        return len(self.layers) * self.growth
 
 
 def dense_block(x: Tensor, p: DenseBlockParams, mode: str, rng=None) -> Tensor:
@@ -240,40 +226,28 @@ def conv_block(x: Tensor, p: ConvBlockParams, mode: str) -> Tensor:
 
 @dataclass
 class SABlockParams:
-    """Squeeze-attention: pooled conv_block pair, upsampled, gate plus add."""
+    """Squeeze-attention: 2x2-pooled conv_block pair, upsampled x2, gate plus add."""
 
     attn_conv1: ConvBlockParams
     attn_conv2: ConvBlockParams
-    pool_k: int = 2
-    up_factor: int = 2
-
-    def __post_init__(self):
-        if self.up_factor != self.pool_k:
-            raise ShapeError(
-                f"sa block needs up_factor == pool_k, got {self.up_factor} != {self.pool_k}"
-            )
 
     @classmethod
-    def create(cls, rng, channels: int, pool_k: int = 2) -> "SABlockParams":
+    def create(cls, rng, channels: int) -> "SABlockParams":
         return cls(
             ConvBlockParams.create(rng, channels, channels),
             ConvBlockParams.create(rng, channels, channels),
-            pool_k=pool_k,
-            up_factor=pool_k,
         )
 
 
 def sa_block(x: Tensor, p: SABlockParams, mode: str) -> Tensor:
     """y = x * a + a with a = upsample(conv_block2(conv_block1(avgpool(x))))."""
     h, w = x.data.shape[2], x.data.shape[3]
-    if h % p.pool_k or w % p.pool_k:
-        raise ShapeError(
-            f"sa block needs spatial extents divisible by {p.pool_k}, got {h}x{w}"
-        )
-    a = avgpool2d(x, p.pool_k, p.pool_k)
+    if h % 2 or w % 2:
+        raise ShapeError(f"sa block needs spatial extents divisible by 2, got {h}x{w}")
+    a = avgpool2d(x, 2, 2)
     a = conv_block(a, p.attn_conv1, mode)
     a = conv_block(a, p.attn_conv2, mode)
-    a = upsample_nearest(a, p.up_factor)
+    a = upsample_nearest(a, 2)
     return mul(x, a) + a
 
 
@@ -296,10 +270,6 @@ class ConvLSTMParams:
     @property
     def hidden(self) -> int:
         return self.input_gate.out_channels
-
-    @property
-    def in_channels(self) -> int:
-        return self.input_gate.in_channels - self.hidden
 
 
 def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLSTMParams):

@@ -17,8 +17,10 @@ import numpy as np
 
 from .config import (
     MODEL_KEYS,
+    RETIRED_KEYS,
     TRAIN_KEYS,
     TrainConfig,
+    check_retired,
     format_value,
     parse_kv_text,
     parse_value,
@@ -115,6 +117,8 @@ def _parse_doc(text: str, path: str) -> tuple[ModelConfig, TrainConfig, int, int
             model_over[field] = parse_value(raw, MODEL_KEYS[field], key, lineno)
         elif group == "train" and field in TRAIN_KEYS:
             train_over[field] = parse_value(raw, TRAIN_KEYS[field], key, lineno)
+        elif group in ("model", "train") and field in RETIRED_KEYS:
+            check_retired(field, raw, key, lineno)
         elif group == "cursor" and field in ("epoch", "step"):
             cursor[field] = parse_value(raw, int, key, lineno)
         elif group == "cursor" and field == "rng":
@@ -125,6 +129,8 @@ def _parse_doc(text: str, path: str) -> tuple[ModelConfig, TrainConfig, int, int
             raise ConfigError(f"{path}: unknown checkpoint key {key!r} (line {lineno})")
     mcfg = ModelConfig(**model_over)
     tcfg = TrainConfig(**train_over)
+    mcfg.validate()
+    tcfg.validate()
     return mcfg, tcfg, cursor["epoch"], cursor["step"], cursor["rng"], best
 
 

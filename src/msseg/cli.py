@@ -293,7 +293,6 @@ def cmd_param_count(args) -> int:
     print(f"Downsampling {got['downsampling']}")
     print(f"Bottleneck   {got['bottleneck']}")
     print(f"Upsampling   {got['upsampling']}")
-    print(f"Exit         {got['exit']}")
     print(f"Total        {got['total']}")
     return 0
 

@@ -8,6 +8,7 @@ model initialization and the training shuffle.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -22,21 +23,18 @@ class TrainConfig:
     batch_size: int = 4
     seed: int = 0
     eps_dice: float = 1e-6
-    threshold: str = "argmax"
 
     def validate(self) -> None:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr!r}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.eps_dice <= 0:
-            raise ValueError("eps_dice must be positive")
-        if self.threshold != "argmax":
-            raise ValueError(f"unsupported threshold policy {self.threshold!r}")
+        if not 0 < self.eps_dice < math.inf:
+            raise ValueError(f"eps_dice must be finite and positive, got {self.eps_dice!r}")
 
 
 MODEL_KEYS: dict[str, type] = {
@@ -46,7 +44,6 @@ MODEL_KEYS: dict[str, type] = {
     "first_conv_filters": int,
     "convlstm_hidden": int,
     "dropout_p": float,
-    "num_classes": int,
     "use_sa": bool,
     "use_clstm": bool,
     "seed": int,
@@ -59,7 +56,14 @@ TRAIN_KEYS: dict[str, type] = {
     "batch_size": int,
     "seed": int,
     "eps_dice": float,
-    "threshold": str,
+}
+
+# Keys that older config files and checkpoints carry, each with the one value
+# that ever worked: the binary lesion/background head and argmax labelling.
+# That value is accepted and ignored; any other is refused.
+RETIRED_KEYS: dict[str, object] = {
+    "num_classes": 2,
+    "threshold": "argmax",
 }
 
 
@@ -89,6 +93,16 @@ def parse_value(raw: str, typ: type, key: str, lineno: int | None = None):
         ) from None
 
 
+def check_retired(field: str, raw: str, key: str, lineno: int) -> None:
+    """Refuse retired key `field` (shown as `key`) unless it holds its one value."""
+    legal = RETIRED_KEYS[field]
+    if parse_value(raw, type(legal), key, lineno) != legal:
+        raise ConfigError(
+            f"config key {key!r} (line {lineno}) is retired; only "
+            f"{format_value(legal)!r} is accepted, got {raw!r}"
+        )
+
+
 def parse_kv_text(text: str) -> list[tuple[int, str, str]]:
     """Split `key = value` lines, skipping blanks and # comments."""
     out = []
@@ -115,6 +129,9 @@ def parse_config_text(
         if key in seen:
             raise ConfigError(f"config key {key!r} (line {lineno}) appears twice")
         seen.add(key)
+        if key in RETIRED_KEYS:
+            check_retired(key, raw, key, lineno)
+            continue
         known = False
         if key in MODEL_KEYS:
             model_over[key] = parse_value(raw, MODEL_KEYS[key], key, lineno)
@@ -135,18 +152,3 @@ def load_config(path: str) -> tuple[ModelConfig, TrainConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config_text(fh.read())
 
-
-def serialize_config(mcfg: ModelConfig, tcfg: TrainConfig) -> str:
-    """Emit a flat config document; requires the two seeds to agree."""
-    if mcfg.seed != tcfg.seed:
-        raise ValueError(
-            "the flat config format has a single seed key; model and train "
-            f"seeds differ ({mcfg.seed} vs {tcfg.seed})"
-        )
-    lines = [f"{key} = {format_value(getattr(mcfg, key))}" for key in MODEL_KEYS]
-    lines += [
-        f"{key} = {format_value(getattr(tcfg, key))}"
-        for key in TRAIN_KEYS
-        if key != "seed"
-    ]
-    return "\n".join(lines) + "\n"

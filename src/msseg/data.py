@@ -2,8 +2,7 @@
 
 The on-disk formats are deliberately small: a magic string, a version byte,
 three little-endian u32 dims, then a raw payload (f32 voxels for images, u8
-labels for masks).  Clinical data ships in richer containers; see
-`load_external_volume` for the seam where such a reader would plug in.
+labels for masks).
 """
 
 from __future__ import annotations
@@ -174,19 +173,6 @@ def read_volume_dims(path: str) -> tuple[int, int, int]:
     return dims
 
 
-def load_external_volume(path: str) -> Volume:
-    """Placeholder for a medical-format reader.
-
-    Everything downstream consumes plain `Volume` objects, so adding NIfTI or
-    DICOM support only requires implementing this one function with an
-    appropriate third-party reader and converting to float32 voxels.
-    """
-    raise NotImplementedError(
-        "medical-format input is out of scope; convert to the raw volume "
-        "format or implement load_external_volume with a suitable reader"
-    )
-
-
 # ---------------------------------------------------------------------------
 # preprocessing
 
@@ -332,18 +318,14 @@ class FoldSpec:
     counts: tuple[int, int, int]
 
 
-def make_folds(
-    entries: list[ManifestEntry], slice_counts: dict[str, int] | None = None
-) -> list[FoldSpec]:
+def make_folds(entries: list[ManifestEntry], slice_counts: dict[str, int]) -> list[FoldSpec]:
     """Leave-one-scan-out folds over exactly five patients.
 
     Fold k holds out patient k's final time point for testing and uses the
     final time points of the next three patients (cyclically) for validation;
-    everything else trains.  Slice counts are read from the volume headers
-    unless supplied.
+    everything else trains.  `slice_counts` maps every volume id to its slice
+    count, which the fold's `counts` sum.
     """
-    if slice_counts is None:
-        slice_counts = {e.id: read_volume_dims(e.image_path)[0] for e in entries}
     by_patient: dict[str, list[ManifestEntry]] = {}
     for e in entries:
         by_patient.setdefault(e.patient, []).append(e)

@@ -17,13 +17,14 @@ makes the per-slice encoder weights shared by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from . import rng as rngmod
 from .blocks import (
+    BatchNormParams,
     ConvLSTMParams,
     ConvParams,
     DenseBlockParams,
@@ -46,8 +47,8 @@ ABLATION_LABELS = (
     "FC-DenseNet + SA + C-LSTM",
 )
 
-# Initial probability assigned to each non-background class by a freshly
-# built model (applied through the head bias; see build_model).
+# Initial probability assigned to the lesion class by a freshly built model
+# (applied through the head bias; see build_model).
 FOREGROUND_PRIOR = 0.01
 
 
@@ -59,7 +60,6 @@ class ModelConfig:
     first_conv_filters: int = 19
     convlstm_hidden: int = 203
     dropout_p: float = 0.2
-    num_classes: int = 2
     use_sa: bool = True
     use_clstm: bool = True
     seed: int = 0
@@ -73,8 +73,6 @@ class ModelConfig:
             )
         if self.growth_rate < 1 or self.first_conv_filters < 1 or self.convlstm_hidden < 1:
             raise ValueError("growth_rate, first_conv_filters, convlstm_hidden must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if not (0.0 <= self.dropout_p < 1.0):
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
@@ -142,12 +140,13 @@ def build_model(cfg: ModelConfig) -> ModelParams:
         decoder.append(DecoderScaleParams(up, dense, sa))
         stream = block_out
 
-    head = ConvParams.create(rng, block_out, cfg.num_classes, 1)
+    # two output channels: background, lesion
+    head = ConvParams.create(rng, block_out, 2, 1)
     # Lesions cover a tiny fraction of any scan, so start the classes at a
     # low foreground prior instead of 50/50. Without this the first phase
     # of training is spent suppressing the foreground map globally, which
     # plain SGD tends to overshoot into a saturated all-background state.
-    head.b.data[1:] = math.log(FOREGROUND_PRIOR / (1.0 - FOREGROUND_PRIOR))
+    head.b.data[1] = math.log(FOREGROUND_PRIOR / (1.0 - FOREGROUND_PRIOR))
     params = ModelParams(cfg, stem, encoder, bottleneck, lstm, decoder, head)
     for name, tensor in named_tensors(params):
         tensor.name = name
@@ -158,93 +157,64 @@ def build_model(cfg: ModelConfig) -> ModelParams:
 # parameter tree traversal
 
 
-def _conv_entries(prefix, p: ConvParams):
-    yield prefix + ".w", p.w
-    if p.b is not None:
-        yield prefix + ".b", p.b
-
-
-def _bn_entries(prefix, p):
-    yield prefix + ".gamma", p.gamma
-    yield prefix + ".beta", p.beta
-
-
-def _dense_entries(prefix, p: DenseBlockParams):
+def _dense_sites(prefix, p: DenseBlockParams):
     for i, lay in enumerate(p.layers):
-        yield from _bn_entries(f"{prefix}.{i}.bn", lay.bn)
-        yield from _conv_entries(f"{prefix}.{i}.conv", lay.conv)
+        yield f"{prefix}.{i}.bn", lay.bn
+        yield f"{prefix}.{i}.conv", lay.conv
 
 
-def _conv_block_entries(prefix, p):
-    yield from _conv_entries(prefix + ".conv1", p.conv1)
-    yield from _bn_entries(prefix + ".bn1", p.bn1)
-    yield from _conv_entries(prefix + ".conv2", p.conv2)
-    yield from _bn_entries(prefix + ".bn2", p.bn2)
+def _sa_sites(prefix, p: SABlockParams):
+    for name, block in (("attn1", p.attn_conv1), ("attn2", p.attn_conv2)):
+        yield f"{prefix}.{name}.conv1", block.conv1
+        yield f"{prefix}.{name}.bn1", block.bn1
+        yield f"{prefix}.{name}.conv2", block.conv2
+        yield f"{prefix}.{name}.bn2", block.bn2
 
 
-def _sa_entries(prefix, p: SABlockParams):
-    yield from _conv_block_entries(prefix + ".attn1", p.attn_conv1)
-    yield from _conv_block_entries(prefix + ".attn2", p.attn_conv2)
-
-
-def _lstm_entries(prefix, p: ConvLSTMParams):
-    for gate_name, gate in (
-        ("input", p.input_gate),
-        ("forget", p.forget_gate),
-        ("cell", p.cell_gate),
-        ("output", p.output_gate),
-    ):
-        yield from _conv_entries(f"{prefix}.{gate_name}", gate)
+def _sites(params: ModelParams):
+    """Every ConvParams, BatchNormParams and bare weight Tensor with its
+    tree name, in build order. The one place that knows the tree layout."""
+    yield "stem", params.stem
+    for i, sc in enumerate(params.encoder):
+        yield from _dense_sites(f"downsampling.{i}.dense", sc.dense)
+        if sc.sa is not None:
+            yield from _sa_sites(f"downsampling.{i}.sa", sc.sa)
+        yield f"downsampling.{i}.down.bn", sc.down.bn
+        yield f"downsampling.{i}.down.conv", sc.down.conv
+    yield from _dense_sites("bottleneck.dense", params.bottleneck)
+    if params.lstm is not None:
+        lstm = params.lstm
+        yield "bottleneck.lstm.input", lstm.input_gate
+        yield "bottleneck.lstm.forget", lstm.forget_gate
+        yield "bottleneck.lstm.cell", lstm.cell_gate
+        yield "bottleneck.lstm.output", lstm.output_gate
+    for j, sc in enumerate(params.decoder):
+        yield f"upsampling.{j}.up.w", sc.up.w
+        yield from _dense_sites(f"upsampling.{j}.dense", sc.dense)
+        if sc.sa is not None:
+            yield from _sa_sites(f"upsampling.{j}.sa", sc.sa)
+    yield "head", params.head
 
 
 def named_tensors(params: ModelParams):
     """Every trainable tensor with its unique tree name, in build order."""
-    yield from _conv_entries("stem", params.stem)
-    for i, sc in enumerate(params.encoder):
-        yield from _dense_entries(f"downsampling.{i}.dense", sc.dense)
-        if sc.sa is not None:
-            yield from _sa_entries(f"downsampling.{i}.sa", sc.sa)
-        yield from _bn_entries(f"downsampling.{i}.down.bn", sc.down.bn)
-        yield from _conv_entries(f"downsampling.{i}.down.conv", sc.down.conv)
-    yield from _dense_entries("bottleneck.dense", params.bottleneck)
-    if params.lstm is not None:
-        yield from _lstm_entries("bottleneck.lstm", params.lstm)
-    for j, sc in enumerate(params.decoder):
-        yield f"upsampling.{j}.up.w", sc.up.w
-        yield from _dense_entries(f"upsampling.{j}.dense", sc.dense)
-        if sc.sa is not None:
-            yield from _sa_entries(f"upsampling.{j}.sa", sc.sa)
-    yield from _conv_entries("head", params.head)
-
-
-def _bn_sites(params: ModelParams):
-    for i, sc in enumerate(params.encoder):
-        for l, lay in enumerate(sc.dense.layers):
-            yield f"downsampling.{i}.dense.{l}.bn", lay.bn
-        if sc.sa is not None:
-            yield from _sa_bn_sites(f"downsampling.{i}.sa", sc.sa)
-        yield f"downsampling.{i}.down.bn", sc.down.bn
-    for l, lay in enumerate(params.bottleneck.layers):
-        yield f"bottleneck.dense.{l}.bn", lay.bn
-    for j, sc in enumerate(params.decoder):
-        for l, lay in enumerate(sc.dense.layers):
-            yield f"upsampling.{j}.dense.{l}.bn", lay.bn
-        if sc.sa is not None:
-            yield from _sa_bn_sites(f"upsampling.{j}.sa", sc.sa)
-
-
-def _sa_bn_sites(prefix, p: SABlockParams):
-    yield f"{prefix}.attn1.bn1", p.attn_conv1.bn1
-    yield f"{prefix}.attn1.bn2", p.attn_conv1.bn2
-    yield f"{prefix}.attn2.bn1", p.attn_conv2.bn1
-    yield f"{prefix}.attn2.bn2", p.attn_conv2.bn2
+    for prefix, site in _sites(params):
+        if isinstance(site, ConvParams):
+            yield prefix + ".w", site.w
+            yield prefix + ".b", site.b
+        elif isinstance(site, BatchNormParams):
+            yield prefix + ".gamma", site.gamma
+            yield prefix + ".beta", site.beta
+        else:
+            yield prefix, site
 
 
 def named_buffers(params: ModelParams):
     """BN running statistics: (name, stats object, attribute) triples."""
-    for prefix, bn in _bn_sites(params):
-        yield prefix + ".running_mean", bn.stats, "mean"
-        yield prefix + ".running_var", bn.stats, "var"
+    for prefix, site in _sites(params):
+        if isinstance(site, BatchNormParams):
+            yield prefix + ".running_mean", site.stats, "mean"
+            yield prefix + ".running_var", site.stats, "var"
 
 
 def snapshot_arrays(params: ModelParams) -> dict:
@@ -304,9 +274,9 @@ def _cc_sa(c):
 def count_params(cfg: ModelConfig) -> dict:
     """Element counts by position, computed arithmetically from the config.
 
-    Returns {"downsampling": n, "bottleneck": n, "upsampling": n, "exit": n,
-    "total": n}. Kept deliberately separate from the tensor-walking
-    ``param_count`` so each audits the other.
+    Returns {"downsampling": n, "bottleneck": n, "upsampling": n, "total": n}.
+    Kept deliberately separate from the tensor-walking ``param_count`` so
+    each audits the other.
     """
     g = cfg.growth_rate
     nl = cfg.layers_per_dense_block
@@ -338,13 +308,12 @@ def count_params(cfg: ModelConfig) -> dict:
         if cfg.use_sa:
             up += _cc_sa(block_out)
         stream = block_out
-    up += _cc_conv(block_out, cfg.num_classes, 1)
+    up += _cc_conv(block_out, 2, 1)
 
     return {
         "downsampling": down,
         "bottleneck": bottleneck,
         "upsampling": up,
-        "exit": 0,
         "total": down + bottleneck + up,
     }
 
@@ -354,7 +323,7 @@ def count_params(cfg: ModelConfig) -> dict:
 
 
 def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
-    """Map an input triplet batch (3B, 1, H, W) to (B, classes, H, W).
+    """Map an input triplet batch (3B, 1, H, W) to (B, 2, H, W) probabilities.
 
     The batch axis is time-major: the first B samples are the previous
     slices, the middle B the centers, the last B the next slices.

@@ -137,12 +137,6 @@ class BatchNormStats:
     def initialized(cls, channels: int) -> "BatchNormStats":
         return cls(np.zeros(channels), np.ones(channels))
 
-    def copy(self) -> "BatchNormStats":
-        return BatchNormStats(
-            None if self.mean is None else self.mean.copy(),
-            None if self.var is None else self.var.copy(),
-        )
-
 
 def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Wrap op output; record (out, inputs, vjp) if a graph is active.

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import rng as rngmod
-from .checkpoint import Checkpoint, restore_into_model
+from .checkpoint import Checkpoint, checkpoint_from_model, restore_into_model
 from .config import TrainConfig
 from .data import FoldSpec, MaskVolume, Volume, make_triplets
 from .errors import ShapeError, TrainingDivergedError
@@ -179,15 +179,7 @@ def train(
             }
 
     if best is None:
-        return Checkpoint(
-            model_cfg=mcfg,
-            train_cfg=tcfg,
-            epoch=0,
-            step=0,
-            rng_state=rngmod.state_to_text(shuffle_rng),
-            best_val_dice=None,
-            arrays=snapshot_arrays(params),
-        )
+        return checkpoint_from_model(params, tcfg, rng_state=rngmod.state_to_text(shuffle_rng))
     return Checkpoint(
         model_cfg=mcfg,
         train_cfg=tcfg,

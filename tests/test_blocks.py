@@ -312,17 +312,6 @@ def test_sa_block_divisibility_enforced():
         sa_block(t(np.ones((1, 1, 5, 4))), p, "eval")
 
 
-def test_sa_block_param_invariant():
-    rng = rngmod.stream(71, "sa-inv")
-    with pytest.raises(ShapeError):
-        SABlockParams(
-            ConvBlockParams.create(rng, 2, 2),
-            ConvBlockParams.create(rng, 2, 2),
-            pool_k=2,
-            up_factor=4,
-        )
-
-
 def test_sa_block_gradcheck():
     rng = rngmod.stream(72, "sa-grad")
     p = SABlockParams.create(rng, 1)

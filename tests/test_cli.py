@@ -274,18 +274,17 @@ def test_ablate_rejects_bad_folds(workspace, tmp_path, capsys):
 def test_param_count_default_prints_calibrated_total(capsys):
     assert main(["param-count"]) == 0
     out = capsys.readouterr().out
-    for pos in ("Downsampling", "Bottleneck", "Upsampling", "Exit", "Total"):
-        assert pos in out
     rows = {line.split()[0]: int(line.split()[1]) for line in out.strip().splitlines()}
+    assert list(rows) == ["Downsampling", "Bottleneck", "Upsampling", "Total"]
     assert rows["Total"] == 13_242_779
-    assert rows["Total"] == rows["Downsampling"] + rows["Bottleneck"] + rows["Upsampling"] + rows["Exit"]
+    assert rows["Total"] == rows["Downsampling"] + rows["Bottleneck"] + rows["Upsampling"]
 
 
 def test_param_count_with_config(workspace, capsys):
     assert main(["param-count", "--config", str(workspace["cfg"])]) == 0
     out = capsys.readouterr().out
     rows = {line.split()[0]: int(line.split()[1]) for line in out.strip().splitlines()}
-    assert rows["Total"] == sum(rows[k] for k in ("Downsampling", "Bottleneck", "Upsampling", "Exit"))
+    assert rows["Total"] == sum(rows[k] for k in ("Downsampling", "Bottleneck", "Upsampling"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Config parsing and bit-exact checkpoint round trips."""
 
-import dataclasses
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,12 +14,7 @@ from msseg.checkpoint import (
     restore_into_model,
     save_checkpoint,
 )
-from msseg.config import (
-    TrainConfig,
-    load_config,
-    parse_config_text,
-    serialize_config,
-)
+from msseg.config import TrainConfig, parse_config_text
 from msseg.errors import ConfigError, FileFormatError
 from msseg.model import ModelConfig, build_model, forward, named_tensors
 from msseg.tensor import Tensor
@@ -78,24 +74,20 @@ def test_config_errors_name_key_and_line():
 def test_config_validation_propagates():
     with pytest.raises(ValueError, match="lr"):
         parse_config_text("lr = -1.0\n")
-    with pytest.raises(ValueError, match="threshold"):
+    for text in ("lr = nan", "lr = inf", "eps_dice = nan", "weight_decay = inf"):
+        with pytest.raises(ValueError, match=f"{text.split()[0]} must be finite"):
+            parse_config_text(text + "\n")
+
+
+def test_retired_keys_accept_only_their_one_value():
+    mcfg, tcfg = parse_config_text("num_classes = 2\nthreshold = argmax\n")
+    assert (mcfg, tcfg) == (ModelConfig(), TrainConfig())
+    with pytest.raises(ConfigError, match="'num_classes' \\(line 2\\)"):
+        parse_config_text("lr = 0.1\nnum_classes = 3\n")
+    with pytest.raises(ConfigError, match="'threshold'"):
         parse_config_text("threshold = fixed\n")
-
-
-def test_config_serialize_round_trip(tmp_path):
-    mcfg = dataclasses.replace(MINI, seed=9)
-    tcfg = TrainConfig(epochs=3, lr=0.05, seed=9, eps_dice=1e-5)
-    text = serialize_config(mcfg, tcfg)
-    path = tmp_path / "run.cfg"
-    path.write_text(text)
-    m2, t2 = load_config(str(path))
-    assert m2 == mcfg
-    assert t2 == tcfg
-
-
-def test_config_serialize_rejects_disagreeing_seeds():
-    with pytest.raises(ValueError, match="seed"):
-        serialize_config(ModelConfig(seed=1), TrainConfig(seed=2))
+    with pytest.raises(ConfigError, match="'num_classes'.*int"):
+        parse_config_text("num_classes = two\n")
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +209,51 @@ def test_restore_rejects_divergent_records(tmp_path):
         restore_into_model(warped)
 
 
+def write_with_doc(path, ckpt, edit):
+    """Save `ckpt` with its config document passed through `edit`, fixing
+    the length prefix and the CRC."""
+    save_checkpoint(ckpt, str(path))
+    raw = path.read_bytes()
+    (doc_len,) = struct.unpack_from("<I", raw, 8)
+    doc = edit(raw[12 : 12 + doc_len].decode("utf-8")).encode("utf-8")
+    body = raw[:8] + struct.pack("<I", len(doc)) + doc + raw[12 + doc_len : -4]
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def test_checkpoint_rejects_unknown_doc_key(tmp_path):
     _, ckpt = make_checkpoint()
     path = tmp_path / "d.msckpt"
-    save_checkpoint(ckpt, str(path))
-    raw = bytearray(path.read_bytes())
-    # splice a bogus key into the config document, fixing length and CRC
-    import struct
-    import zlib
-
-    (doc_len,) = struct.unpack_from("<I", raw, 8)
-    doc = raw[12 : 12 + doc_len].decode("utf-8") + "model.bogus = 1\n"
-    body = raw[:8] + struct.pack("<I", len(doc.encode())) + doc.encode() + raw[12 + doc_len : -4]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    write_with_doc(path, ckpt, lambda doc: doc + "model.bogus = 1\n")
     with pytest.raises(ConfigError, match="model.bogus"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_with_retired_keys_loads_bit_identically(tmp_path):
+    params, ckpt = make_checkpoint()
+    path = tmp_path / "old.msckpt"
+    # the document as older versions wrote it
+    write_with_doc(path, ckpt, lambda doc: doc.replace(
+        "model.use_sa", "model.num_classes = 2\nmodel.use_sa"
+    ).replace("cursor.epoch", "train.threshold = argmax\ncursor.epoch"))
+    back = load_checkpoint(str(path))
+    assert (back.model_cfg, back.train_cfg) == (ckpt.model_cfg, ckpt.train_cfg)
+    x = Tensor(rngmod.stream(52, "x").standard_normal((3, 1, 32, 32)))
+    want = forward(params, x, "eval").data
+    np.testing.assert_array_equal(forward(restore_into_model(back), x, "eval").data, want)
+
+    for line in ("model.num_classes = 3", "train.threshold = fixed"):
+        write_with_doc(path, ckpt, lambda doc: doc + line + "\n")
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_checkpoint(str(path))
+
+
+def test_checkpoint_doc_is_validated(tmp_path):
+    _, ckpt = make_checkpoint()
+    path = tmp_path / "v.msckpt"
+    for key, bad in (("train.lr", "nan"), ("model.num_scales", "0")):
+        write_with_doc(path, ckpt, lambda doc: "\n".join(
+            f"{key} = {bad}" if line.startswith(key + " ") else line
+            for line in doc.splitlines()
+        ) + "\n")
+        with pytest.raises(ValueError, match=key.split(".")[1]):
+            load_checkpoint(str(path))

@@ -14,7 +14,6 @@ from msseg.data import (
     Volume,
     crop_to_roi,
     generate_phantom,
-    load_external_volume,
     load_mask,
     load_volume,
     make_folds,
@@ -28,6 +27,7 @@ from msseg.data import (
     save_volume,
     write_manifest,
 )
+from msseg.cli import _fold_by_id
 from msseg.errors import FileFormatError, ShapeError
 
 
@@ -173,11 +173,6 @@ def test_read_volume_dims_header_only(tmp_path):
     save_mask(MaskVolume(np.zeros((4, 6, 8), dtype=np.uint8)), mp)
     assert read_volume_dims(vp) == (4, 6, 8)
     assert read_volume_dims(mp) == (4, 6, 8)
-
-
-def test_external_reader_is_a_stub():
-    with pytest.raises(NotImplementedError):
-        load_external_volume("anything.nii")
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +416,9 @@ def test_folds_read_slice_counts_from_headers(tmp_path):
             s = 2 + p + t
             save_volume(Volume(np.ones((s, 4, 4))), vp)
             save_mask(MaskVolume(np.zeros((s, 4, 4), np.uint8)), mp)
-            entries.append(ManifestEntry(vid, str(p), t, vp, mp))
-    folds = make_folds(entries)
+            # paths relative to the manifest's directory, not the cwd
+            entries.append(ManifestEntry(vid, str(p), t, f"{vid}.msvol", f"{vid}.msmsk"))
+    _, folds = _fold_by_id(entries, str(tmp_path / "manifest.tsv"), 1)
     assert folds[0].counts[2] == 2 + 1 + 2
     assert folds[0].counts[1] == (2 + 2 + 2) + (2 + 3 + 2) + (2 + 4 + 2)
 

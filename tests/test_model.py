@@ -223,7 +223,6 @@ def test_param_count_miniature_hand_arithmetic():
     assert got["downsampling"] == down
     assert got["bottleneck"] == bott
     assert got["upsampling"] == up
-    assert got["exit"] == 0
     assert got["total"] == down + bott + up
     assert param_count(build_model(MINI)) == got["total"]
 
