@@ -166,13 +166,11 @@ class TransitionDownParams:
 
 
 def transition_down(x: Tensor, p: TransitionDownParams, mode: str, rng=None) -> Tensor:
-    if x.data.shape[2] < 2 or x.data.shape[3] < 2:
-        raise ShapeError(f"transition down needs spatial extent >= 2, got {x.shape}")
     h = batchnorm2d(x, p.bn.gamma, p.bn.beta, p.bn.stats, mode)
     h = relu(h)
     h = conv2d(h, p.conv.w, p.conv.b, stride=1, pad=0)
     h = dropout2d(h, p.dropout_p, mode, rng)
-    return maxpool2d(h, 2, 2)
+    return maxpool2d(h)
 
 
 @dataclass
@@ -189,13 +187,8 @@ class TransitionUpParams:
 
 def transition_up(x: Tensor, p: TransitionUpParams) -> Tensor:
     out = conv_transpose2d(x, p.w, stride=2)
-    h2 = 2 * x.data.shape[2]
-    w2 = 2 * x.data.shape[3]
-    # (H-1)*2+3 = 2H+1: one excess row/col; the symmetric split of an odd
-    # excess keeps the leading edge
-    top = (out.data.shape[2] - h2) // 2
-    left = (out.data.shape[3] - w2) // 2
-    return crop_spatial(out, top, left, h2, w2)
+    # (H-1)*2+3 = 2H+1: the one excess row/col is the trailing one
+    return crop_spatial(out, 2 * x.data.shape[2], 2 * x.data.shape[3])
 
 
 @dataclass
@@ -241,13 +234,10 @@ class SABlockParams:
 
 def sa_block(x: Tensor, p: SABlockParams, mode: str) -> Tensor:
     """y = x * a + a with a = upsample(conv_block2(conv_block1(avgpool(x))))."""
-    h, w = x.data.shape[2], x.data.shape[3]
-    if h % 2 or w % 2:
-        raise ShapeError(f"sa block needs spatial extents divisible by 2, got {h}x{w}")
-    a = avgpool2d(x, 2, 2)
+    a = avgpool2d(x)
     a = conv_block(a, p.attn_conv1, mode)
     a = conv_block(a, p.attn_conv2, mode)
-    a = upsample_nearest(a, 2)
+    a = upsample_nearest(a)
     return mul(x, a) + a
 
 

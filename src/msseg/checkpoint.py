@@ -129,8 +129,11 @@ def _parse_doc(text: str, path: str) -> tuple[ModelConfig, TrainConfig, int, int
             raise ConfigError(f"{path}: unknown checkpoint key {key!r} (line {lineno})")
     mcfg = ModelConfig(**model_over)
     tcfg = TrainConfig(**train_over)
-    mcfg.validate()
-    tcfg.validate()
+    try:
+        mcfg.validate()
+        tcfg.validate()
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return mcfg, tcfg, cursor["epoch"], cursor["step"], cursor["rng"], best
 
 

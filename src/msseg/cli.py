@@ -8,6 +8,7 @@ same arguments produces bit-identical outputs.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -160,8 +161,6 @@ def _fold_by_id(entries, manifest_path, fold_id):
 def cmd_train(args) -> int:
     mcfg, tcfg = _load_configs(args.config)
     if args.epochs is not None:
-        import dataclasses
-
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     entries = dio.parse_manifest(args.manifest)
     fold, _ = _fold_by_id(entries, args.manifest, args.fold)
@@ -262,11 +261,7 @@ def cmd_ablate(args) -> int:
     if not fold_ids:
         return _fail("--folds named no folds")
     entries = dio.parse_manifest(args.manifest)
-    all_folds = None
-    chosen = []
-    for fid in fold_ids:
-        fold, all_folds = _fold_by_id(entries, args.manifest, fid)
-        chosen.append(fold)
+    chosen = [_fold_by_id(entries, args.manifest, fid)[0] for fid in fold_ids]
     needed = set()
     for f in chosen:
         needed |= set(f.train) | set(f.val) | set(f.test)

@@ -7,7 +7,6 @@ model initialization and the training shuffle.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -117,11 +116,7 @@ def parse_kv_text(text: str) -> list[tuple[int, str, str]]:
     return out
 
 
-def parse_config_text(
-    text: str,
-    model_base: ModelConfig | None = None,
-    train_base: TrainConfig | None = None,
-) -> tuple[ModelConfig, TrainConfig]:
+def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
     model_over: dict = {}
     train_over: dict = {}
     seen: set[str] = set()
@@ -141,8 +136,8 @@ def parse_config_text(
             known = True
         if not known:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-    mcfg = dataclasses.replace(model_base or ModelConfig(), **model_over)
-    tcfg = dataclasses.replace(train_base or TrainConfig(), **train_over)
+    mcfg = ModelConfig(**model_over)
+    tcfg = TrainConfig(**train_over)
     mcfg.validate()
     tcfg.validate()
     return mcfg, tcfg

@@ -122,16 +122,16 @@ class Tensor:
 class BatchNormStats:
     """Running mean/variance buffers for one batchnorm site.
 
-    ``initialized(c)`` gives the conventional starting point (zero mean,
-    unit variance). A site whose buffers are still ``None`` cannot run in
-    eval mode.
+    Both buffers always exist: ``initialized(c)`` gives the conventional
+    starting point (zero mean, unit variance), and a checkpoint restores
+    saved arrays.
     """
 
     __slots__ = ("mean", "var")
 
-    def __init__(self, mean: Optional[np.ndarray] = None, var: Optional[np.ndarray] = None):
-        self.mean = None if mean is None else np.asarray(mean, dtype=np.float64)
-        self.var = None if var is None else np.asarray(var, dtype=np.float64)
+    def __init__(self, mean: np.ndarray, var: np.ndarray):
+        self.mean = np.asarray(mean, dtype=np.float64)
+        self.var = np.asarray(var, dtype=np.float64)
 
     @classmethod
     def initialized(cls, channels: int) -> "BatchNormStats":
@@ -309,23 +309,21 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     return _emit(x.data[:, start:stop].copy(), (x,), vjp)
 
 
-def crop_spatial(x: Tensor, top: int, left: int, height: int, width: int) -> Tensor:
-    """Crop a window from the two spatial axes of an NCHW tensor."""
+def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
+    """Keep the leading ``height`` x ``width`` corner of an NCHW tensor."""
     if x.data.ndim != 4:
         raise ShapeError(f"crop_spatial needs NCHW input, got shape {x.shape}")
-    n, c, h, w = x.data.shape
-    if not (0 <= top and top + height <= h and 0 <= left and left + width <= w):
-        raise ShapeError(
-            f"crop window [{top}:{top + height}, {left}:{left + width}] outside {h}x{w}"
-        )
+    h, w = x.data.shape[2:]
+    if not (0 <= height <= h and 0 <= width <= w):
+        raise ShapeError(f"crop window {height}x{width} outside {h}x{w}")
     full_shape = x.data.shape
 
     def vjp(go):
         g = np.zeros(full_shape)
-        g[:, :, top:top + height, left:left + width] = go
+        g[:, :, :height, :width] = go
         return (g,)
 
-    return _emit(x.data[:, :, top:top + height, left:left + width].copy(), (x,), vjp)
+    return _emit(x.data[:, :, :height, :width].copy(), (x,), vjp)
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
@@ -350,23 +348,22 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     return _emit(np.concatenate([t.data for t in xs], axis=1), tuple(xs), vjp)
 
 
-def upsample_nearest(x: Tensor, factor: int) -> Tensor:
-    """Nearest-neighbour upsampling of both spatial axes by an integer factor."""
+def _repeat2(a: np.ndarray) -> np.ndarray:
+    """Repeat every pixel of an NCHW array into a 2x2 block."""
+    return np.repeat(np.repeat(a, 2, axis=2), 2, axis=3)
+
+
+def upsample_nearest(x: Tensor) -> Tensor:
+    """Nearest-neighbour upsampling of both spatial axes by 2."""
     if x.data.ndim != 4:
         raise ShapeError(f"upsample_nearest needs NCHW input, got shape {x.shape}")
-    f = int(factor)
-    if f < 1:
-        raise ShapeError(f"upsample factor must be >= 1, got {factor}")
-    if f == 1:
-        return x
     n, c, h, w = x.data.shape
-    out = np.repeat(np.repeat(x.data, f, axis=2), f, axis=3)
 
     def vjp(go):
-        # each input pixel fans out to an f*f tile; its gradient is the tile sum
-        return (go.reshape(n, c, h, f, w, f).sum(axis=(3, 5)),)
+        # each input pixel fans out to a 2x2 tile; its gradient is the tile sum
+        return (go.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
-    return _emit(out, (x,), vjp)
+    return _emit(_repeat2(x.data), (x,), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +491,17 @@ def conv_transpose2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
 # normalization and regularization
 
 
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    stats: BatchNormStats,
-    mode: str,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-) -> Tensor:
-    """Per-channel batch normalization over (N, H, W).
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
+
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, mode: str) -> Tensor:
+    """Per-channel batch normalization over (N, H, W), with ``BN_EPS`` added
+    to the variance.
 
     Train mode normalizes with the biased batch statistics and folds them
-    into the running buffers as new = (1 - momentum) * old + momentum *
-    batch (the running variance gets the unbiased estimate). Eval mode
+    into the running buffers as new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM
+    * batch (the running variance gets the unbiased estimate). Eval mode
     normalizes with the running buffers and treats them as constants.
     """
     if mode not in ("train", "eval"):
@@ -528,13 +522,10 @@ def batchnorm2d(
         mean = x.data.mean(axis=(0, 2, 3))
         centered = x.data - mean[None, :, None, None]
         var = (centered * centered).mean(axis=(0, 2, 3))
-        if stats.mean is None or stats.var is None:
-            stats.mean = np.zeros(c)
-            stats.var = np.ones(c)
         unbiased = var * (m / (m - 1))
-        stats.mean = (1.0 - momentum) * stats.mean + momentum * mean
-        stats.var = (1.0 - momentum) * stats.var + momentum * unbiased
-        inv_std = 1.0 / np.sqrt(var + eps)
+        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mean
+        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * unbiased
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = centered * inv_std[None, :, None, None]
         out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
@@ -555,12 +546,7 @@ def batchnorm2d(
 
         return _emit(out, (x, gamma, beta), vjp)
 
-    if stats.mean is None or stats.var is None:
-        raise ValueError(
-            "batchnorm2d eval mode before any training step: initialize the "
-            "running statistics to mean 0, variance 1 first"
-        )
-    inv_std = 1.0 / np.sqrt(stats.var + eps)
+    inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
     xhat = (x.data - stats.mean[None, :, None, None]) * inv_std[None, :, None, None]
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
@@ -617,63 +603,43 @@ def softmax_channels(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# pooling
+# pooling over non-overlapping 2x2 windows
+#
+# Each backward adds 0.0 to the output gradient, so a -0.0 lands as +0.0:
+# the value a sum of contributions into a zero buffer gives.
 
 
-def _pool_prep(x: Tensor, k: int, stride: int):
+def _windows2(x: Tensor, op: str) -> np.ndarray:
+    """(N, C, H, W) -> (N, C, H/2, W/2, 4): each 2x2 window in row-major order."""
     if x.data.ndim != 4:
-        raise ShapeError(f"pooling needs NCHW input, got shape {x.shape}")
-    if k < 1 or stride < 1:
-        raise ShapeError(f"pooling: bad window {k} or stride {stride}")
+        raise ShapeError(f"{op} needs NCHW input, got shape {x.shape}")
     n, c, h, w = x.data.shape
-    if k > h or k > w:
-        raise ShapeError(f"pooling window {k} larger than input {h}x{w}")
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    sn, sc, sh, sw = x.data.strides
-    win = np.lib.stride_tricks.as_strided(
-        x.data,
-        shape=(n, c, ho, wo, k, k),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    return n, c, h, w, ho, wo, win.reshape(n, c, ho, wo, k * k)
+    if h % 2 or w % 2:
+        raise ShapeError(f"{op} needs spatial extents divisible by 2, got {h}x{w}")
+    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return blocks.reshape(n, c, h // 2, w // 2, 4)
 
 
-def maxpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Window maximum; rows/cols past the last full window are dropped.
+def maxpool2d(x: Tensor) -> Tensor:
+    """Maximum over non-overlapping 2x2 windows.
 
     Ties go to the first maximum in row-major order within the window, so
-    the backward scatter target is unambiguous.
+    the backward routing target is unambiguous.
     """
-    n, c, h, w, ho, wo, flat = _pool_prep(x, k, stride)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    flat = _windows2(x, "maxpool2d")
+    n, c, ho, wo, _ = flat.shape
+    idx = flat.argmax(axis=-1)[..., None]
+    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
 
     def vjp(go):
-        gx = np.zeros((n, c, h, w))
-        ii = idx // k + (np.arange(ho) * stride)[None, None, :, None]
-        jj = idx % k + (np.arange(wo) * stride)[None, None, None, :]
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (nn, cc, ii, jj), go)
-        return (gx,)
+        g = np.where(idx == np.arange(4), 0.0 + go[..., None], 0.0)
+        g = g.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+        return (g.reshape(n, c, 2 * ho, 2 * wo),)
 
     return _emit(out, (x,), vjp)
 
 
-def avgpool2d(x: Tensor, k: int, stride: int) -> Tensor:
-    """Window mean; rows/cols past the last full window are dropped."""
-    n, c, h, w, ho, wo, flat = _pool_prep(x, k, stride)
-    out = flat.mean(axis=-1)
-    inv = 1.0 / (k * k)
-
-    def vjp(go):
-        gx = np.zeros((n, c, h, w))
-        share = go * inv
-        for i in range(k):
-            for j in range(k):
-                gx[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += share
-        return (gx,)
-
-    return _emit(out, (x,), vjp)
+def avgpool2d(x: Tensor) -> Tensor:
+    """Mean over non-overlapping 2x2 windows."""
+    out = _windows2(x, "avgpool2d").mean(axis=-1)
+    return _emit(out, (x,), lambda go: (_repeat2(0.0 + go * 0.25),))

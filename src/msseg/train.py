@@ -37,6 +37,10 @@ ProgressSink = Callable[[int, float, float], None]
 
 Dataset = Mapping[str, tuple[Volume, MaskVolume]]
 
+# Triplets per eval forward in volume inference. Eval forward is
+# batch-invariant, so this sets only peak memory and time, not the mask.
+PREDICT_BATCH = 4
+
 
 def worker_count() -> int:
     """Thread budget for per-volume fan-out, capped by MSSEG_THREADS."""
@@ -99,13 +103,13 @@ def _batch_input(stacks: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     return np.concatenate([prev, cent, nxt])[:, None, :, :].astype(np.float64)
 
 
-def predict_with_params(params: ModelParams, v: Volume, chunk: int = 4) -> MaskVolume:
+def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
     """Slice-triplet inference over a whole volume, argmax with ties to 0."""
     samples = make_triplets(v, MaskVolume(np.zeros(v.dims, dtype=np.uint8)))
     stacks = [s for s, _ in samples]
     out = np.empty(v.dims, dtype=np.uint8)
-    for start in range(0, len(stacks), chunk):
-        idx = np.arange(start, min(start + chunk, len(stacks)))
+    for start in range(0, len(stacks), PREDICT_BATCH):
+        idx = np.arange(start, min(start + PREDICT_BATCH, len(stacks)))
         x = Tensor(_batch_input(stacks, idx))
         prob = forward(params, x, "eval").data
         out[idx[0] : idx[-1] + 1] = np.argmax(prob, axis=1).astype(np.uint8)

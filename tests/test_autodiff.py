@@ -236,21 +236,34 @@ def test_grad_softmax():
 def test_grad_pooling():
     rng = rngmod.stream(37, "g-pool")
     for case in range(20):
-        k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
-        x = _rand(rng, 2, 2, 5, 5) * 3.0
-        gradcheck(lambda ts: projection(maxpool2d(ts[0], k, stride), 700 + case), [x])
-        gradcheck(lambda ts: projection(avgpool2d(ts[0], k, stride), 701 + case), [x])
+        x = _rand(rng, 2, 2, 6, 6) * 3.0
+        gradcheck(lambda ts: projection(maxpool2d(ts[0]), 700 + case), [x])
+        gradcheck(lambda ts: projection(avgpool2d(ts[0]), 701 + case), [x])
 
 
 def test_grad_maxpool_routes_to_first_argmax():
-    x = Tensor(np.full((1, 1, 2, 2), 5.0), requires_grad=True)
+    # tied 2x2 windows, each paired with the row-major slot of its first maximum
+    windows = [
+        ([[5.0, 5.0], [5.0, 5.0]], (0, 0)),
+        ([[1.0, 5.0], [5.0, 2.0]], (0, 1)),
+        ([[1.0, 2.0], [5.0, 5.0]], (1, 0)),
+        ([[-3.0, -3.0], [-3.0, 7.0]], (1, 1)),
+        ([[-0.0, 0.0], [-1.0, -1.0]], (0, 0)),
+        ([[-2.0, 0.0], [0.0, -0.0]], (0, 1)),
+    ]
+    n, c, ho, wo = 2, 3, 2, 3
+    x = np.empty((n, c, 2 * ho, 2 * wo))
+    go = np.arange(1.0, 1.0 + n * c * ho * wo).reshape(n, c, ho, wo)
+    want = np.zeros_like(x)
+    for k, (b, ci, i, j) in enumerate(np.ndindex(n, c, ho, wo)):
+        vals, (di, dj) = windows[k % len(windows)]
+        x[b, ci, 2 * i:2 * i + 2, 2 * j:2 * j + 2] = vals
+        want[b, ci, 2 * i + di, 2 * j + dj] = go[b, ci, i, j]
+    xt = Tensor(x, requires_grad=True)
     with Graph():
-        loss = sum_all(maxpool2d(x, 2, 2))
+        loss = sum_all(mul(maxpool2d(xt), Tensor(go)))
     backward(loss)
-    np.testing.assert_array_equal(
-        x.grad.ravel(), [1.0, 0.0, 0.0, 0.0]
-    )
+    np.testing.assert_array_equal(xt.grad, want)
 
 
 def test_grad_dropout():
@@ -282,9 +295,8 @@ def test_grad_concat_and_slices():
 def test_grad_upsample():
     rng = rngmod.stream(40, "g-up")
     for case in range(20):
-        f = int(rng.integers(2, 4))
         x = _rand(rng, 2, 2, 3, 3)
-        gradcheck(lambda ts: projection(upsample_nearest(ts[0], f), 1000 + case), [x])
+        gradcheck(lambda ts: projection(upsample_nearest(ts[0]), 1000 + case), [x])
 
 
 def test_grad_elementwise_arithmetic():
@@ -314,8 +326,8 @@ def test_grad_through_composition():
         y = conv2d(ts[0], ts[1], ts[2], stride=1, pad=1)
         y = batchnorm2d(y, ts[3], ts[4], stats, "train")
         y = relu(y)
-        y = maxpool2d(y, 2, 2)
-        y = upsample_nearest(y, 2)
+        y = maxpool2d(y)
+        y = upsample_nearest(y)
         y = softmax_channels(y)
         return projection(y, 4242)
 

@@ -293,10 +293,10 @@ def test_sa_block_matches_scalar_combine_oracle():
 
     p = SABlockParams.create(rng, 3)
     x = t(rng.standard_normal((2, 3, 4, 4)))
-    a = avgpool2d(x, 2, 2)
+    a = avgpool2d(x)
     a = conv_block(a, p.attn_conv1, "eval")
     a = conv_block(a, p.attn_conv2, "eval")
-    a = upsample_nearest(a, 2)
+    a = upsample_nearest(a)
 
     got = sa_block(x, p, "eval").data
     want = np.empty_like(got)

@@ -255,5 +255,6 @@ def test_checkpoint_doc_is_validated(tmp_path):
             f"{key} = {bad}" if line.startswith(key + " ") else line
             for line in doc.splitlines()
         ) + "\n")
-        with pytest.raises(ValueError, match=key.split(".")[1]):
+        with pytest.raises(ConfigError, match=key.split(".")[1]) as err:
             load_checkpoint(str(path))
+        assert str(err.value).startswith(f"{path}: ")

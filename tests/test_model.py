@@ -271,11 +271,11 @@ def test_plain_variant_matches_hand_wired_network():
 
     def tdown(tin, td):
         h = conv2d(relu(bn(tin, td.bn)), td.conv.w, td.conv.b, stride=1, pad=0)
-        return maxpool2d(h, 2, 2)
+        return maxpool2d(h)
 
     def tup(tin, tu):
         out = conv_transpose2d(tin, tu.w, stride=2)
-        return crop_spatial(out, 0, 0, 2 * tin.data.shape[2], 2 * tin.data.shape[3])
+        return crop_spatial(out, 2 * tin.data.shape[2], 2 * tin.data.shape[3])
 
     s = conv2d(x, m.stem.w, m.stem.b, stride=1, pad=1)
     sk0 = concat_channels([s, dense2(s, m.encoder[0].dense)])

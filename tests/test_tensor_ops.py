@@ -167,8 +167,8 @@ def test_batchnorm_standardized_input_passthrough():
     x -= x.mean(axis=(0, 2, 3), keepdims=True)
     x /= x.std(axis=(0, 2, 3), keepdims=True)
     stats = BatchNormStats.initialized(2)
-    out = batchnorm2d(t(x), t(np.ones(2)), t(np.zeros(2)), stats, "train", eps=1e-15)
-    assert oracles.rel_err(out.data, x) < 1e-9
+    out = batchnorm2d(t(x), t(np.ones(2)), t(np.zeros(2)), stats, "train")
+    assert oracles.rel_err(out.data, x / np.sqrt(1.0 + 1e-5)) < 1e-9
 
 
 def test_batchnorm_matches_twopass_oracle():
@@ -198,17 +198,11 @@ def test_batchnorm_eval_uses_running_stats():
     np.testing.assert_array_equal(stats.var, rv)
 
 
-def test_batchnorm_eval_without_stats_is_instructive():
-    x = t(np.zeros((1, 2, 2, 2)))
-    with pytest.raises(ValueError, match="initialize"):
-        batchnorm2d(x, t(np.ones(2)), t(np.zeros(2)), BatchNormStats(), "eval")
-
-
 def test_batchnorm_running_update_rule():
     rng = rngmod.stream(18, "bn-run")
     x = rng.standard_normal((2, 1, 3, 3))
     stats = BatchNormStats.initialized(1)
-    batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), stats, "train", momentum=0.1)
+    batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), stats, "train")
     m = x.size
     mean = x.mean()
     unbiased = x.var() * m / (m - 1)
@@ -272,29 +266,28 @@ def test_softmax_sums_to_one():
 
 def test_pool_tiny_windows():
     x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
-    np.testing.assert_array_equal(maxpool2d(x, 2, 2).data, [[[[4.0]]]])
-    np.testing.assert_array_equal(avgpool2d(x, 2, 2).data, [[[[2.5]]]])
+    np.testing.assert_array_equal(maxpool2d(x).data, [[[[4.0]]]])
+    np.testing.assert_array_equal(avgpool2d(x).data, [[[[2.5]]]])
 
 
 def test_pool_matches_window_scan_oracle():
     rng = rngmod.stream(21, "pool-oracle")
     for _ in range(40):
-        h = int(rng.integers(2, 9))
-        w = int(rng.integers(2, 9))
-        k = int(rng.integers(1, min(h, w) + 1))
-        stride = int(rng.integers(1, 4))
+        h = 2 * int(rng.integers(1, 5))
+        w = 2 * int(rng.integers(1, 5))
         x = rng.standard_normal((2, 2, h, w))
-        got_max = maxpool2d(t(x), k, stride).data
-        got_avg = avgpool2d(t(x), k, stride).data
-        np.testing.assert_array_equal(got_max, oracles.maxpool2d_loops(x, k, stride))
-        assert oracles.rel_err(got_avg, oracles.avgpool2d_loops(x, k, stride)) < 1e-12
+        got_max = maxpool2d(t(x)).data
+        got_avg = avgpool2d(t(x)).data
+        np.testing.assert_array_equal(got_max, oracles.maxpool2d_loops(x, 2, 2))
+        assert oracles.rel_err(got_avg, oracles.avgpool2d_loops(x, 2, 2)) < 1e-12
 
 
-def test_pool_truncates_trailing_window():
-    x = t(np.arange(25, dtype=np.float64).reshape(1, 1, 5, 5))
-    out = maxpool2d(x, 2, 2)
-    assert out.data.shape == (1, 1, 2, 2)
-    np.testing.assert_array_equal(out.data.ravel(), [6.0, 8.0, 16.0, 18.0])
+def test_pool_rejects_odd_extents():
+    for shape in [(1, 1, 5, 5), (1, 1, 4, 5), (2, 1, 3, 4)]:
+        x = t(np.zeros(shape))
+        for pool in (maxpool2d, avgpool2d):
+            with pytest.raises(ShapeError, match="divisible by 2"):
+                pool(x)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +348,12 @@ def test_concat_spatial_mismatch_rejected():
 
 def test_upsample_blocks_and_inverse_pair():
     x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
-    up = upsample_nearest(x, 2)
+    up = upsample_nearest(x)
     want = np.array(
         [[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], dtype=np.float64
     ).reshape(1, 1, 4, 4)
     np.testing.assert_array_equal(up.data, want)
-    assert upsample_nearest(x, 1) is x
-    down = avgpool2d(up, 2, 2)
+    down = avgpool2d(up)
     np.testing.assert_array_equal(down.data, x.data)
 
 
@@ -379,7 +371,7 @@ def test_fixed_seed_bit_identical_op_sequence():
         y = conv2d(x, w, b, stride=1, pad=1)
         y = batchnorm2d(y, t(np.ones(4)), t(np.zeros(4)), stats, "train")
         y = relu(y)
-        y = maxpool2d(y, 2, 2)
+        y = maxpool2d(y)
         y = dropout2d(y, 0.3, "train", rngmod.stream(99, "det-drop"))
         y = softmax_channels(y)
         return y.data, stats.mean.copy(), stats.var.copy()
