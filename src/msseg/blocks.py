@@ -102,7 +102,7 @@ class DenseLayerParams:
 def dense_layer(x: Tensor, p: DenseLayerParams, mode: str, rng=None) -> Tensor:
     h = batchnorm2d(x, p.bn.gamma, p.bn.beta, p.bn.stats, mode)
     h = relu(h)
-    h = conv2d(h, p.conv.w, p.conv.b, stride=1, pad=1)
+    h = conv2d(h, p.conv.w, p.conv.b)
     return dropout2d(h, p.dropout_p, mode, rng)
 
 
@@ -168,7 +168,7 @@ class TransitionDownParams:
 def transition_down(x: Tensor, p: TransitionDownParams, mode: str, rng=None) -> Tensor:
     h = batchnorm2d(x, p.bn.gamma, p.bn.beta, p.bn.stats, mode)
     h = relu(h)
-    h = conv2d(h, p.conv.w, p.conv.b, stride=1, pad=0)
+    h = conv2d(h, p.conv.w, p.conv.b)
     h = dropout2d(h, p.dropout_p, mode, rng)
     return maxpool2d(h)
 
@@ -186,7 +186,7 @@ class TransitionUpParams:
 
 
 def transition_up(x: Tensor, p: TransitionUpParams) -> Tensor:
-    out = conv_transpose2d(x, p.w, stride=2)
+    out = conv_transpose2d(x, p.w)
     # (H-1)*2+3 = 2H+1: the one excess row/col is the trailing one
     return crop_spatial(out, 2 * x.data.shape[2], 2 * x.data.shape[3])
 
@@ -211,9 +211,9 @@ class ConvBlockParams:
 
 
 def conv_block(x: Tensor, p: ConvBlockParams, mode: str) -> Tensor:
-    h = conv2d(x, p.conv1.w, p.conv1.b, stride=1, pad=1)
+    h = conv2d(x, p.conv1.w, p.conv1.b)
     h = relu(batchnorm2d(h, p.bn1.gamma, p.bn1.beta, p.bn1.stats, mode))
-    h = conv2d(h, p.conv2.w, p.conv2.b, stride=1, pad=1)
+    h = conv2d(h, p.conv2.w, p.conv2.b)
     return relu(batchnorm2d(h, p.bn2.gamma, p.bn2.beta, p.bn2.stats, mode))
 
 
@@ -270,10 +270,10 @@ def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLSTMParams
             f"convlstm step: spatial dims disagree, x {x_t.shape}, h {h_prev.shape}, c {c_prev.shape}"
         )
     xh = concat_channels([x_t, h_prev])
-    i = sigmoid(conv2d(xh, p.input_gate.w, p.input_gate.b, stride=1, pad=1))
-    f = sigmoid(conv2d(xh, p.forget_gate.w, p.forget_gate.b, stride=1, pad=1))
-    g = tanh(conv2d(xh, p.cell_gate.w, p.cell_gate.b, stride=1, pad=1))
-    o = sigmoid(conv2d(xh, p.output_gate.w, p.output_gate.b, stride=1, pad=1))
+    i = sigmoid(conv2d(xh, p.input_gate.w, p.input_gate.b))
+    f = sigmoid(conv2d(xh, p.forget_gate.w, p.forget_gate.b))
+    g = tanh(conv2d(xh, p.cell_gate.w, p.cell_gate.b))
+    o = sigmoid(conv2d(xh, p.output_gate.w, p.output_gate.b))
     c_t = mul(f, c_prev) + mul(i, g)
     h_t = mul(o, tanh(c_t))
     return h_t, c_t

@@ -22,8 +22,7 @@ from .data import ManifestEntry, MaskVolume, PhantomSpec, Volume
 from .errors import ConfigError, FileFormatError, ShapeError, TrainingDivergedError
 from .metrics import confusion, dice
 from .model import ModelConfig, count_params
-from .train import evaluate, predict_with_params, run_ablation, train
-from .checkpoint import restore_into_model
+from .train import evaluate, predict, run_ablation, train
 
 
 def _fail(msg: str) -> int:
@@ -46,6 +45,8 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
         s, h, w = (int(p) for p in parts)
     except ValueError:
         raise ValueError(f"dims must be integers, got {text!r}") from None
+    if min(s, h, w) < 1:
+        raise ValueError(f"dims must all be at least 1, got {text!r}")
     return s, h, w
 
 
@@ -103,7 +104,6 @@ def cmd_phantom(args) -> int:
         vid = f"p{patient}t{timepoint}"
         spec = PhantomSpec(seed=args.seed + i, dims=dims, lesion_radius=_lesion_radius(dims))
         vol, msk = dio.generate_phantom(spec)
-        vol.meta.update({"patient": str(patient), "timepoint": str(timepoint)})
         image_name = f"{vid}.msvol"
         mask_name = f"{vid}.msmsk"
         dio.save_volume(vol, os.path.join(args.out, image_name))
@@ -239,8 +239,7 @@ def _write_overlays(out_dir, vol: Volume, pred: MaskVolume, gt: MaskVolume | Non
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     vol = dio.load_volume(args.volume)
-    params = restore_into_model(ckpt)
-    pred = predict_with_params(params, vol)
+    pred = predict(ckpt, vol)
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "prediction.msmsk")
     dio.save_mask(pred, pred_path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class Volume:
     """A stack of axial image slices, voxels float32 in (slices, height, width)."""
 
     voxels: np.ndarray
-    meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         self.voxels = np.asarray(self.voxels, dtype=np.float32)
@@ -188,7 +187,7 @@ def remove_black_slices(v: Volume, m: MaskVolume) -> tuple[Volume, MaskVolume]:
     keep = np.any(v.voxels != 0, axis=(1, 2))
     if not np.any(keep):
         raise ValueError("every slice is black; nothing left after removal")
-    return Volume(v.voxels[keep], dict(v.meta)), MaskVolume(m.labels[keep])
+    return Volume(v.voxels[keep]), MaskVolume(m.labels[keep])
 
 
 def _window_start(lo: int, hi: int, size: int, target: int) -> int:
@@ -221,7 +220,7 @@ def crop_to_roi(
     rs = _window_start(r0, r1, h, th)
     cs = _window_start(c0, c1, w, tw)
     return (
-        Volume(v.voxels[:, rs : rs + th, cs : cs + tw], dict(v.meta)),
+        Volume(v.voxels[:, rs : rs + th, cs : cs + tw]),
         MaskVolume(m.labels[:, rs : rs + th, cs : cs + tw]),
     )
 
@@ -232,7 +231,7 @@ def normalize_intensity(v: Volume) -> Volume:
     mx = np.float32(v.voxels.max())
     if mx <= mn:
         raise ValueError("constant volume cannot be normalized")
-    return Volume((v.voxels - mn) / (mx - mn), dict(v.meta))
+    return Volume((v.voxels - mn) / (mx - mn))
 
 
 def preprocess_pair(
@@ -456,5 +455,4 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
         image[ball] = lo + (hi - lo) * rng.random(count)
         mask[ball] = 1
 
-    vol = Volume(image.astype(np.float32), {"source": "phantom", "seed": str(spec.seed)})
-    return vol, MaskVolume(mask)
+    return Volume(image.astype(np.float32)), MaskVolume(mask)

@@ -16,17 +16,6 @@ import numpy as np
 from .data import MaskVolume
 from .errors import ShapeError
 
-METRIC_ORDER = (
-    "dice",
-    "sensitivity",
-    "specificity",
-    "iou",
-    "ef",
-    "ppv",
-    "npv",
-    "accuracy",
-)
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -109,6 +98,7 @@ _FUNCS = {
     "npv": npv,
     "accuracy": accuracy,
 }
+METRIC_ORDER = tuple(_FUNCS)
 
 
 def compute_all(c: ConfusionCounts) -> dict[str, float]:

@@ -345,7 +345,7 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
         )
     b = b3 // 3
 
-    stream = conv2d(x, params.stem.w, params.stem.b, stride=1, pad=1)
+    stream = conv2d(x, params.stem.w, params.stem.b)
     skips = []
     for sc in params.encoder:
         d = dense_block(stream, sc.dense, mode, rng)
@@ -369,7 +369,7 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
         if sc.sa is not None:
             u = sa_block(u, sc.sa, mode)
 
-    logits = conv2d(u, params.head.w, params.head.b, stride=1, pad=0)
+    logits = conv2d(u, params.head.w, params.head.b)
     return softmax_channels(logits)
 
 

@@ -277,19 +277,24 @@ def tanh(x: Tensor) -> Tensor:
 # shape plumbing
 
 
+def _sub_box(x: Tensor, box) -> Tensor:
+    """Copy ``x.data[box]`` out; the gradient scatters back into zeros."""
+    full_shape = x.data.shape
+
+    def vjp(go):
+        g = np.zeros(full_shape)
+        g[box] = go
+        return (g,)
+
+    return _emit(x.data[box].copy(), (x,), vjp)
+
+
 def slice_batch(x: Tensor, start: int, stop: int) -> Tensor:
     """Contiguous sub-range along the batch axis (axis 0), as a copy."""
     n = x.data.shape[0]
     if not (0 <= start < stop <= n):
         raise ShapeError(f"batch slice [{start}:{stop}] out of range for size {n}")
-    full_shape = x.data.shape
-
-    def vjp(go):
-        g = np.zeros(full_shape)
-        g[start:stop] = go
-        return (g,)
-
-    return _emit(x.data[start:stop].copy(), (x,), vjp)
+    return _sub_box(x, np.s_[start:stop])
 
 
 def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
@@ -299,14 +304,7 @@ def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
     c = x.data.shape[1]
     if not (0 <= start < stop <= c):
         raise ShapeError(f"channel slice [{start}:{stop}] out of range for {c} channels")
-    full_shape = x.data.shape
-
-    def vjp(go):
-        g = np.zeros(full_shape)
-        g[:, start:stop] = go
-        return (g,)
-
-    return _emit(x.data[:, start:stop].copy(), (x,), vjp)
+    return _sub_box(x, np.s_[:, start:stop])
 
 
 def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
@@ -316,14 +314,7 @@ def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
     h, w = x.data.shape[2:]
     if not (0 <= height <= h and 0 <= width <= w):
         raise ShapeError(f"crop window {height}x{width} outside {h}x{w}")
-    full_shape = x.data.shape
-
-    def vjp(go):
-        g = np.zeros(full_shape)
-        g[:, :, :height, :width] = go
-        return (g,)
-
-    return _emit(x.data[:, :, :height, :width].copy(), (x,), vjp)
+    return _sub_box(x, np.s_[:, :, :height, :width])
 
 
 def concat_channels(xs: Sequence[Tensor]) -> Tensor:
@@ -370,67 +361,70 @@ def upsample_nearest(x: Tensor) -> Tensor:
 # convolution
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """(N, C, Hp, Wp) -> (N, C*kh*kw, L) patch matrix, L = Ho*Wo."""
+def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """(N, C, Hp, Wp) -> (N, C*k*k, L) patch matrix of k x k windows, L = Ho*Wo."""
     n, c, hp, wp = xp.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
     sn, sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(n, c, kh, kw, ho, wo),
+        shape=(n, c, k, k, ho, wo),
         strides=(sn, sc, sh, sw, sh * stride, sw * stride),
         writeable=False,
     )
-    return win.reshape(n, c * kh * kw, ho * wo)
+    return win.reshape(n, c * k * k, ho * wo)
 
 
-def _col2im(
-    cols: np.ndarray, n: int, c: int, hp: int, wp: int, kh: int, kw: int, stride: int,
-    ho: int, wo: int,
-) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back onto the padded canvas."""
-    x = np.zeros((n, c, hp, wp))
-    cols = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
+def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int, stride: int) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add patches onto a zero canvas of ``shape``."""
+    n, c, hp, wp = shape
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    x = np.zeros(shape)
+    cols = cols.reshape(n, c, k, k, ho, wo)
+    for i in range(k):
+        for j in range(k):
             x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
     return x
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-D cross-correlation (no kernel flip) with bias.
-
-    x: (N, C, H, W), w: (F, C, kh, kw), b: (F,). Output spatial extent is
-    (H + 2*pad - kh) // stride + 1 per axis; the kernel must fit at least
-    once.
-    """
+def _square_kernel(x: Tensor, w: Tensor, op: str, channel_axis: int) -> int:
+    """Check that ``x`` and ``w`` are 4-d, that axis ``channel_axis`` of ``w``
+    matches ``x``'s channels and that the kernel is square; return its side."""
     if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError(
-            f"conv2d needs 4-d x and w, got {x.shape} and {w.shape}"
-        )
-    n, c, h, wd = x.data.shape
-    f, cw, kh, kw = w.data.shape
+        raise ShapeError(f"{op} needs 4-d x and w, got {x.shape} and {w.shape}")
+    c, cw = x.data.shape[1], w.data.shape[channel_axis]
     if cw != c:
-        raise ShapeError(f"conv2d channel mismatch: x has {c}, w expects {cw}")
+        raise ShapeError(f"{op} channel mismatch: x has {c}, w expects {cw}")
+    kh, kw = w.data.shape[2:]
+    if kh != kw:
+        raise ShapeError(f"{op} needs a square kernel, got {kh}x{kw}")
+    return kh
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-1 "same" 2-D cross-correlation (no kernel flip) with bias.
+
+    x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
+    zero-padded by k // 2 on every side, so the output is (N, F, H, W).
+    """
+    k = _square_kernel(x, w, "conv2d", 1)
+    if k % 2 == 0:
+        raise ShapeError(f"conv2d needs an odd kernel, got {k}x{k}")
+    n, _, h, wd = x.data.shape
+    f = w.data.shape[0]
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
-    if stride < 1 or pad < 0:
-        raise ShapeError(f"conv2d: bad stride {stride} or pad {pad}")
-    if kh > h + 2 * pad or kw > wd + 2 * pad:
-        raise ShapeError(
-            f"conv2d kernel ({kh}x{kw}) larger than padded input ({h + 2 * pad}x{wd + 2 * pad})"
-        )
+    pad = k // 2
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    hp, wp = xp.shape[2], xp.shape[3]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    cols = _im2col(xp, kh, kw, stride)
+    cols = _im2col(xp, k, 1)
     wmat = w.data.reshape(f, -1)
-    out = (wmat @ cols).reshape(n, f, ho, wo) + b.data[None, :, None, None]
+    out = (wmat @ cols).reshape(n, f, h, wd) + b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     wshape = w.data.shape
+    pshape = xp.shape  # the closure keeps the shape, not the padded copy
 
     def vjp(go):
         gof = go.reshape(n, f, -1)
@@ -440,44 +434,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 0) -> Te
         )
         gx = None
         if need_x:
-            gcols = np.matmul(wmat.T, gof)
-            gxp = _col2im(gcols, n, c, hp, wp, kh, kw, stride, ho, wo)
-            gx = gxp[:, :, pad:hp - pad, pad:wp - pad] if pad else gxp
+            gxp = _col2im(np.matmul(wmat.T, gof), pshape, k, 1)
+            gx = gxp[:, :, pad:pad + h, pad:pad + wd]
         return gx, gw, gb
 
     return _emit(out, (x, w, b), vjp)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, stride: int = 1) -> Tensor:
-    """Transposed 2-D convolution, the exact adjoint of ``conv2d``'s linear map.
+def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
+    """Stride-2 transposed 2-D convolution, no bias.
 
-    x: (N, C, H, W), w: (C, F, kh, kw); output is (N, F, (H-1)*stride + kh,
-    (W-1)*stride + kw). No bias. The same weight array satisfies
-    <conv2d(a; w'), b> == <a, conv_transpose2d(b; w)> when w' is w viewed
-    from the opposite side, which is what the gradient of conv2d needs.
+    x: (N, C, H, W), w: (C, F, k, k); output is (N, F, 2*(H-1) + k,
+    2*(W-1) + k). It is the exact adjoint of the unpadded stride-2
+    cross-correlation with the same weight array read as (F, C, k, k):
+    <xcorr(a; w), y> == <a, conv_transpose2d(y; w)>.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4:
-        raise ShapeError(
-            f"conv_transpose2d needs 4-d x and w, got {x.shape} and {w.shape}"
-        )
+    k = _square_kernel(x, w, "conv_transpose2d", 0)
     n, c, h, wd = x.data.shape
-    cw, f, kh, kw = w.data.shape
-    if cw != c:
-        raise ShapeError(f"conv_transpose2d channel mismatch: x has {c}, w expects {cw}")
-    if stride < 1:
-        raise ShapeError(f"conv_transpose2d: bad stride {stride}")
-    ho = (h - 1) * stride + kh
-    wo = (wd - 1) * stride + kw
+    f = w.data.shape[1]
     xf = x.data.reshape(n, c, h * wd)
-    wmat = w.data.reshape(c, f * kh * kw)
-    cols = np.matmul(wmat.T, xf)  # (N, F*kh*kw, H*W)
-    out = _col2im(cols, n, f, ho, wo, kh, kw, stride, h, wd)
+    wmat = w.data.reshape(c, f * k * k)
+    cols = np.matmul(wmat.T, xf)  # (N, F*k*k, H*W)
+    out = _col2im(cols, (n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k), k, 2)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     wshape = w.data.shape
 
     def vjp(go):
-        patches = _im2col(go, kh, kw, stride)  # (N, F*kh*kw, H*W)
+        patches = _im2col(go, k, 2)  # (N, F*k*k, H*W)
         gx = np.matmul(wmat, patches).reshape(n, c, h, wd) if need_x else None
         gw = (
             np.einsum("ncl,nkl->ck", xf, patches).reshape(wshape) if need_w else None
@@ -525,41 +509,33 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, m
         unbiased = var * (m / (m - 1))
         stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mean
         stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * unbiased
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = centered * inv_std[None, :, None, None]
-        out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
-
-        need_x = x.requires_grad
-        gdata = gamma.data
-
-        def vjp(go):
-            ggamma = (go * xhat).sum(axis=(0, 2, 3))
-            gbeta = go.sum(axis=(0, 2, 3))
-            gx = None
-            if need_x:
-                # standard batchnorm gradient, everything per channel
-                gxhat = go * gdata[None, :, None, None]
-                s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-                s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-                gx = (inv_std[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
-            return gx, ggamma, gbeta
-
-        return _emit(out, (x, gamma, beta), vjp)
-
-    inv_std = 1.0 / np.sqrt(stats.var + BN_EPS)
-    xhat = (x.data - stats.mean[None, :, None, None]) * inv_std[None, :, None, None]
+    else:
+        centered = x.data - stats.mean[None, :, None, None]
+        var = stats.var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    # in place: nothing reads the centered values again
+    xhat = np.multiply(centered, inv_std[None, :, None, None], out=centered)
     out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
 
-    need_x = x.requires_grad
+    need_x, train = x.requires_grad, mode == "train"
     gdata = gamma.data
 
-    def vjp_eval(go):
+    def vjp(go):
         ggamma = (go * xhat).sum(axis=(0, 2, 3))
         gbeta = go.sum(axis=(0, 2, 3))
-        gx = go * (gdata * inv_std)[None, :, None, None] if need_x else None
+        gx = None
+        if need_x and train:
+            # standard batchnorm gradient, everything per channel
+            gxhat = go * gdata[None, :, None, None]
+            s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
+            s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
+            gx = (inv_std[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
+        elif need_x:
+            # eval mode: the running buffers are constants
+            gx = go * (gdata * inv_std)[None, :, None, None]
         return gx, ggamma, gbeta
 
-    return _emit(out, (x, gamma, beta), vjp_eval)
+    return _emit(out, (x, gamma, beta), vjp)
 
 
 def dropout2d(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:

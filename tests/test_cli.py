@@ -72,8 +72,10 @@ def test_phantom_same_seed_bit_identical(tmp_path):
 
 
 def test_phantom_bad_dims_is_item_failure(tmp_path, capsys):
-    assert main(["phantom", "--dims", "8x32", "--out", str(tmp_path / "x")]) == 1
-    assert "dims" in capsys.readouterr().err
+    for dims in ("8x32", "0x32x32", "12x32x0"):
+        assert main(["phantom", "--dims", dims, "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dims" in err and dims in err
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ def test_volume_validation():
 def test_volume_round_trip_bit_identical(tmp_path):
     rng = rngmod.stream(1, "io")
     v = rand_volume(rng, (3, 5, 7))
-    v.meta["patient"] = "1"
     path = str(tmp_path / "v.msvol")
     save_volume(v, path)
     back = load_volume(path)

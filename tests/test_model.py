@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from msseg import blocks, model
 from msseg import rng as rngmod
 from msseg.errors import ShapeError
 from msseg.model import (
@@ -34,6 +35,7 @@ from msseg.tensor import (
     softmax_channels,
     sum_all,
 )
+from msseg.train import soft_dice_loss
 
 import oracles
 
@@ -264,20 +266,20 @@ def test_plain_variant_matches_hand_wired_network():
     def dense2(tin, blk):
         # two layers unrolled by hand
         l0, l1 = blk.layers
-        y0 = conv2d(relu(bn(tin, l0.bn)), l0.conv.w, l0.conv.b, stride=1, pad=1)
+        y0 = conv2d(relu(bn(tin, l0.bn)), l0.conv.w, l0.conv.b)
         f1 = concat_channels([tin, y0])
-        y1 = conv2d(relu(bn(f1, l1.bn)), l1.conv.w, l1.conv.b, stride=1, pad=1)
+        y1 = conv2d(relu(bn(f1, l1.bn)), l1.conv.w, l1.conv.b)
         return concat_channels([y0, y1])
 
     def tdown(tin, td):
-        h = conv2d(relu(bn(tin, td.bn)), td.conv.w, td.conv.b, stride=1, pad=0)
+        h = conv2d(relu(bn(tin, td.bn)), td.conv.w, td.conv.b)
         return maxpool2d(h)
 
     def tup(tin, tu):
-        out = conv_transpose2d(tin, tu.w, stride=2)
+        out = conv_transpose2d(tin, tu.w)
         return crop_spatial(out, 2 * tin.data.shape[2], 2 * tin.data.shape[3])
 
-    s = conv2d(x, m.stem.w, m.stem.b, stride=1, pad=1)
+    s = conv2d(x, m.stem.w, m.stem.b)
     sk0 = concat_channels([s, dense2(s, m.encoder[0].dense)])
     s1 = tdown(sk0, m.encoder[0].down)
     sk1 = concat_channels([s1, dense2(s1, m.encoder[1].dense)])
@@ -294,7 +296,7 @@ def test_plain_variant_matches_hand_wired_network():
     u = concat_channels([u, slice_batch(sk0, 1, 2)])
     u = dense2(u, m.decoder[1].dense)
 
-    logits = conv2d(u, m.head.w, m.head.b, stride=1, pad=0)
+    logits = conv2d(u, m.head.w, m.head.b)
     want = softmax_channels(logits).data
 
     assert oracles.rel_err(got, want) < 1e-12
@@ -334,6 +336,30 @@ def test_full_model_gradient_spot_check():
         analytic = tensor.grad.reshape(-1)[idx]
         err = abs(analytic - fd) / max(1.0, abs(analytic), abs(fd))
         assert err < 1e-3, f"{name}[{idx}]: analytic {analytic}, fd {fd}"
+
+
+def test_full_structure_train_step_op_graph(monkeypatch):
+    # the full config's structure at width 1 records the op graph a
+    # full-config train step does: 114 conv2d calls per forward and 554 tape
+    # nodes from the input to the loss
+    m = build_model(ModelConfig(growth_rate=1, first_conv_filters=1, convlstm_hidden=1))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return conv2d(*args, **kwargs)
+
+    monkeypatch.setattr(blocks, "conv2d", counted)
+    monkeypatch.setattr(model, "conv2d", counted)
+    rng = rngmod.stream(101, "op-graph")
+    x = Tensor(rng.standard_normal((6, 1, 32, 32)))
+    gt = (rng.random((2, 32, 32)) < 0.1).astype(np.float64)
+    with Graph() as g:
+        prob = forward(m, x, "train", rngmod.stream(101, "op-graph-drop"))
+        loss = soft_dice_loss(prob, gt)
+    assert len(calls) == 114
+    assert len(g) == 554
+    backward(loss)
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,17 @@ def test_conv2d_identity_kernel():
     x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
     w = t([[[[1.0]]]])
     b = t([0.0])
-    out = conv2d(x, w, b, stride=1, pad=0)
+    out = conv2d(x, w, b)
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_conv2d_all_ones_window():
+    # every zero-padded 3x3 window over a 2x2 input covers all four pixels
     x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
-    w = t(np.ones((1, 1, 2, 2)))
+    w = t(np.ones((1, 1, 3, 3)))
     b = t([0.0])
     out = conv2d(x, w, b)
-    np.testing.assert_array_equal(out.data, [[[[10.0]]]])
+    np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 10.0))
 
 
 def test_conv2d_zero_kernel_gives_bias():
@@ -56,17 +57,20 @@ def test_conv2d_zero_kernel_gives_bias():
     x = t(rng.standard_normal((2, 3, 5, 5)))
     w = t(np.zeros((4, 3, 3, 3)))
     b = t([1.0, -2.0, 0.5, 3.0])
-    out = conv2d(x, w, b, stride=1, pad=1)
+    out = conv2d(x, w, b)
     for fi, c in enumerate([1.0, -2.0, 0.5, 3.0]):
         np.testing.assert_array_equal(out.data[:, fi], np.full((2, 5, 5), c))
 
 
 def test_conv2d_channel_mismatch_rejected():
     x = t(np.zeros((1, 3, 4, 4)))
-    w = t(np.zeros((2, 4, 3, 3)))
     b = t(np.zeros(2))
+    # wrong channel count, even kernel, non-square kernel
+    for shape in ((2, 4, 3, 3), (2, 3, 2, 2), (2, 3, 3, 1)):
+        with pytest.raises(ShapeError):
+            conv2d(x, t(np.zeros(shape)), b)
     with pytest.raises(ShapeError):
-        conv2d(x, w, b)
+        conv_transpose2d(x, t(np.zeros((3, 2, 3, 1))))
 
 
 def test_conv2d_matches_loop_oracle_many_shapes():
@@ -75,17 +79,15 @@ def test_conv2d_matches_loop_oracle_many_shapes():
         n = int(rng.integers(1, 3))
         c = int(rng.integers(1, 4))
         f = int(rng.integers(1, 4))
-        h = int(rng.integers(2, 7))
-        w_ = int(rng.integers(2, 7))
-        kh = int(rng.integers(1, min(3, h) + 1))
-        kw = int(rng.integers(1, min(3, w_) + 1))
-        stride = int(rng.integers(1, 3))
-        pad = int(rng.integers(0, 2))
+        h = int(rng.integers(1, 7))
+        w_ = int(rng.integers(1, 7))
+        k = 2 * int(rng.integers(0, 3)) + 1
         x = rng.standard_normal((n, c, h, w_))
-        wt = rng.standard_normal((f, c, kh, kw))
+        wt = rng.standard_normal((f, c, k, k))
         b = rng.standard_normal(f)
-        got = conv2d(t(x), t(wt), t(b), stride=stride, pad=pad).data
-        want = oracles.conv2d_loops(x, wt, b, stride=stride, pad=pad)
+        got = conv2d(t(x), t(wt), t(b)).data
+        assert got.shape == (n, f, h, w_)
+        want = oracles.conv2d_loops(x, wt, b, stride=1, pad=k // 2)
         assert oracles.rel_err(got, want) < 1e-12
 
 
@@ -96,14 +98,14 @@ def test_conv2d_matches_loop_oracle_many_shapes():
 def test_conv_transpose_single_pixel_broadcasts_kernel():
     x = t([[[[1.0]]]])
     w = t(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
-    out = conv_transpose2d(x, w, stride=1)
+    out = conv_transpose2d(x, w)
     np.testing.assert_array_equal(out.data, [[[[1.0, 2.0], [3.0, 4.0]]]])
 
 
 def test_conv_transpose_stride_two_spreads():
     x = t(np.array([[1.0, 1.0]]).reshape(1, 1, 1, 2))
     w = t(np.array([[[[1.0]]]]))
-    out = conv_transpose2d(x, w, stride=2)
+    out = conv_transpose2d(x, w)
     np.testing.assert_array_equal(out.data, np.array([[1.0, 0.0, 1.0]]).reshape(1, 1, 1, 3))
 
 
@@ -115,32 +117,29 @@ def test_conv_transpose_matches_loop_oracle():
         f = int(rng.integers(1, 4))
         h = int(rng.integers(1, 6))
         w_ = int(rng.integers(1, 6))
-        kh = int(rng.integers(1, 4))
-        kw = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
+        k = int(rng.integers(1, 4))
         x = rng.standard_normal((n, c, h, w_))
-        wt = rng.standard_normal((c, f, kh, kw))
-        got = conv_transpose2d(t(x), t(wt), stride=stride).data
-        want = oracles.conv_transpose2d_loops(x, wt, stride=stride)
+        wt = rng.standard_normal((c, f, k, k))
+        got = conv_transpose2d(t(x), t(wt)).data
+        want = oracles.conv_transpose2d_loops(x, wt, stride=2)
         assert oracles.rel_err(got, want) < 1e-12
 
 
 def test_conv_adjoint_identity():
-    # <conv2d(a; w), y> == <a, conv_transpose2d(y; w)>: the very same weight
-    # array serves both sides, its first axis read as the transpose's input
-    # channels
+    # <xcorr(a; w), y> == <a, conv_transpose2d(y; w)> for the unpadded
+    # stride-2 cross-correlation: the very same weight array serves both
+    # sides, its first axis read as the transpose's input channels
     rng = rngmod.stream(14, "adjoint")
     for _ in range(30):
         c = int(rng.integers(1, 3))
         f = int(rng.integers(1, 3))
-        stride = int(rng.integers(1, 3))
         k = int(rng.integers(1, 4))
         a = rng.standard_normal((2, c, 4, 4))
         w = rng.standard_normal((f, c, k, k))
         b = np.zeros(f)
-        fwd = conv2d(t(a), t(w), t(b), stride=stride, pad=0).data
+        fwd = oracles.conv2d_loops(a, w, b, stride=2, pad=0)
         y = rng.standard_normal(fwd.shape)
-        back = conv_transpose2d(t(y), t(w), stride=stride).data
+        back = conv_transpose2d(t(y), t(w)).data
         # rows/cols the strided conv never read get zero adjoint
         full = np.zeros_like(a)
         full[:, :, : back.shape[2], : back.shape[3]] = back
@@ -368,7 +367,7 @@ def test_fixed_seed_bit_identical_op_sequence():
         w = t(rng.standard_normal((4, 3, 3, 3)))
         b = t(rng.standard_normal(4))
         stats = BatchNormStats.initialized(4)
-        y = conv2d(x, w, b, stride=1, pad=1)
+        y = conv2d(x, w, b)
         y = batchnorm2d(y, t(np.ones(4)), t(np.zeros(4)), stats, "train")
         y = relu(y)
         y = maxpool2d(y)
