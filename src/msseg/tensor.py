@@ -6,8 +6,9 @@ is a context manager), every operation whose inputs require gradients
 appends one node to the graph's tape; a node is the output tensor, the
 input tensors, and a closure that maps the output gradient to input
 gradients. The tape is append-only, so reverse insertion order is a valid
-topological order, and ``backward`` is a single reversed sweep. With no
-graph active, operations are pure evaluation and keep no references.
+topological order, and ``backward`` is a single reversed sweep that pops
+each node as it runs it, freeing the node's closure on the way down. With
+no graph active, operations are pure evaluation and keep no references.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
@@ -168,9 +169,11 @@ def backward(loss: Tensor) -> None:
 
     Gradients add up across separate graphs (micro-batch accumulation works
     by running several forward/backward pairs before one ``sgd_step``), but
-    each graph can be swept only once: the sweep releases the tape and the
-    arrays its closures hold, so a second backward over the same graph
-    raises instead of silently returning zeros.
+    each graph can be swept only once: the sweep pops each node off the tape
+    as it runs it, which frees that node's closure and the arrays it holds
+    before the earlier nodes run, so a second backward over the same graph
+    raises instead of silently returning zeros. It also raises when an
+    earlier sweep stopped on an exception.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -182,14 +185,19 @@ def backward(loss: Tensor) -> None:
         raise ValueError(
             "this graph was already swept by backward; rerun the forward pass"
         )
+    # marked before the sweep: a vjp that raises leaves a half-emptied tape,
+    # and sweeping only its remainder would give wrong gradients
+    loss.graph._consumed = True
     loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + np.ones_like(loss.data)
-    for out, inputs, vjp in reversed(loss.graph._nodes):
+    nodes = loss.graph._nodes
+    while nodes:
+        # popping frees each node's closure, and its output once unreferenced,
+        # before the earlier nodes run
+        out, inputs, vjp = nodes.pop()
         if out.grad is None:
             continue
         for t, g in zip(inputs, vjp(out.grad)):
             _accumulate(t, g)
-    loss.graph._consumed = True
-    loss.graph._nodes.clear()
 
 
 def sgd_step(named_params: Iterable[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0) -> None:
@@ -412,25 +420,33 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
         raise ShapeError(f"conv2d needs an odd kernel, got {k}x{k}")
-    n, _, h, wd = x.data.shape
+    n, c, h, wd = x.data.shape
     f = w.data.shape[0]
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
     pad = k // 2
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    cols = _im2col(xp, k, 1)
+    xd = x.data
+
+    def patches(a: np.ndarray) -> np.ndarray:
+        xp = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a
+        return _im2col(xp, k, 1)
+
     wmat = w.data.reshape(f, -1)
-    out = (wmat @ cols).reshape(n, f, h, wd) + b.data[None, :, None, None]
+    # the patch matrix (k*k times the input) is a temporary, not kept for backward
+    out = (wmat @ patches(xd)).reshape(n, f, h, wd) + b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     wshape = w.data.shape
-    pshape = xp.shape  # the closure keeps the shape, not the padded copy
+    pshape = (n, c, h + 2 * pad, wd + 2 * pad)
 
     def vjp(go):
         gof = go.reshape(n, f, -1)
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
+        # rebuild one sample's patches at a time from the input; BLAS matmuls
         gw = (
-            np.einsum("nfl,nkl->fk", gof, cols).reshape(wshape) if need_w else None
+            sum(gof[i] @ patches(xd[i:i + 1])[0].T for i in range(n)).reshape(wshape)
+            if need_w
+            else None
         )
         gx = None
         if need_x:
@@ -464,7 +480,7 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
         patches = _im2col(go, k, 2)  # (N, F*k*k, H*W)
         gx = np.matmul(wmat, patches).reshape(n, c, h, wd) if need_x else None
         gw = (
-            np.einsum("ncl,nkl->ck", xf, patches).reshape(wshape) if need_w else None
+            sum(xf[i] @ patches[i].T for i in range(n)).reshape(wshape) if need_w else None
         )
         return gx, gw
 

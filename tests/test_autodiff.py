@@ -1,5 +1,8 @@
 """Backward-pass correctness: tape mechanics and finite-difference checks."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from msseg.tensor import (
     BatchNormStats,
     Graph,
     Tensor,
+    _emit,
     avgpool2d,
     backward,
     batchnorm2d,
@@ -19,6 +23,7 @@ from msseg.tensor import (
     dropout2d,
     maxpool2d,
     mul,
+    mul_scalar,
     relu,
     sgd_step,
     sigmoid,
@@ -101,6 +106,86 @@ def test_backward_without_graph_rejected():
     y = sum_all(x)
     with pytest.raises(ValueError, match="Graph"):
         backward(y)
+
+
+def test_backward_after_failed_sweep_rejected():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def failing_vjp(go):
+        raise RuntimeError("vjp failed")
+
+    with Graph():
+        loss = sum_all(_emit(x.data * 2.0, (x,), failing_vjp))
+    with pytest.raises(RuntimeError, match="vjp failed"):
+        backward(loss)
+    # the tape is half swept; sweeping its remainder would be silently wrong
+    with pytest.raises(ValueError, match="already swept"):
+        backward(loss)
+
+
+def test_backward_frees_later_nodes_before_earlier_vjps_run():
+    x = Tensor(np.ones(4), requires_grad=True)
+    later_freed = []
+
+    def probe_vjp(go):
+        later_freed.append(later_data() is None)
+        return (go,)
+
+    with Graph():
+        first = _emit(x.data.copy(), (x,), probe_vjp)
+        later = mul_scalar(first, 3.0)
+        later_data = weakref.ref(later.data)
+        loss = sum_all(later)
+    del first, later
+    backward(loss)
+    assert later_freed == [True]
+    np.testing.assert_array_equal(x.grad, np.full(4, 3.0))
+
+
+# ---------------------------------------------------------------------------
+# conv2d backward: retained memory and the per-sample weight gradient
+
+
+def test_conv2d_keeps_no_patch_matrix_for_backward():
+    rng = rngmod.stream(34, "conv-retained")
+    x = Tensor(rng.standard_normal((2, 8, 16, 16)), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 8, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(8), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph():
+            out = conv2d(x, w, b)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the output is as large as the input; a kept 3x3 patch matrix adds 9x it
+    assert out.data.nbytes == x.data.nbytes
+    assert retained < 2 * x.data.nbytes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_weight_grad_matches_loop_oracle(n, k):
+    rng = rngmod.stream(35, f"conv-wgrad-{n}-{k}")
+    x = rng.standard_normal((n, 2, 5, 4))
+    r = rng.standard_normal((n, 3, 5, 4))
+    w = Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)
+    zero_bias = np.zeros(3)
+    with Graph():
+        loss = sum_all(mul(conv2d(Tensor(x), w, Tensor(zero_bias)), Tensor(r)))
+    backward(loss)
+    # the loss is linear in w: each weight's gradient is the loss at that unit weight
+    want = np.zeros(w.shape)
+    for idx in np.ndindex(*w.shape):
+        unit = np.zeros(w.shape)
+        unit[idx] = 1.0
+        want[idx] = np.sum(oracles.conv2d_loops(x, unit, zero_bias, pad=k // 2) * r)
+    np.testing.assert_allclose(w.grad, want, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sgd
 
 
 def test_sgd_basic_steps():
