@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import data as dio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
-from .data import ManifestEntry, MaskVolume, PhantomSpec, Volume
+from .data import FoldSpec, ManifestEntry, MaskVolume, PhantomSpec, Volume
 from .errors import ConfigError, FileFormatError, ShapeError, TrainingDivergedError
 from .metrics import confusion, dice
 from .model import ModelConfig, count_params
@@ -50,30 +49,6 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
     return s, h, w
 
 
-_LESION_DEFAULT = (2.0, 4.0)
-
-
-def _lesion_radius(dims: tuple[int, int, int]) -> tuple[float, float]:
-    """Pick a lesion radius range that actually fits inside the brain.
-
-    A lesion ball of radius r with safety margin m fits at the ellipsoid
-    center when sum(((r + m) / semi)**2) <= 1, so the largest safe padded
-    radius is 1 / sqrt(sum(1 / semi**2)).  Small volumes get proportionally
-    smaller lesions; at the default dims this reduces to the default range.
-    The lower bound never drops below 0.9 voxels so every lesion covers at
-    least one voxel no matter where its fractional center lands.
-    """
-    semis = (0.35 * dims[0], 0.40 * dims[1], 0.40 * dims[2])
-    pad = 1.0 / math.sqrt(sum(1.0 / s**2 for s in semis))
-    hi = min(_LESION_DEFAULT[1], pad - dio.LESION_MARGIN)
-    if hi < 0.9:
-        raise ValueError(
-            f"dims {dims[0]}x{dims[1]}x{dims[2]} leave no room for lesions"
-        )
-    lo = min(_LESION_DEFAULT[0], max(0.9, 0.5 * hi))
-    return lo, hi
-
-
 def _load_configs(path: str | None) -> tuple[ModelConfig, TrainConfig]:
     if path is None:
         return ModelConfig(), TrainConfig()
@@ -102,7 +77,7 @@ def cmd_phantom(args) -> int:
         patient = i % 5 + 1
         timepoint = i // 5 + 1
         vid = f"p{patient}t{timepoint}"
-        spec = PhantomSpec(seed=args.seed + i, dims=dims, lesion_radius=_lesion_radius(dims))
+        spec = PhantomSpec(seed=args.seed + i, dims=dims, lesion_radius=dio._lesion_radius(dims))
         vol, msk = dio.generate_phantom(spec)
         image_name = f"{vid}.msvol"
         mask_name = f"{vid}.msmsk"
@@ -146,16 +121,19 @@ def cmd_preprocess(args) -> int:
     return 1 if failures else 0
 
 
-def _fold_by_id(entries, manifest_path, fold_id):
+def _folds(entries, manifest_path) -> dict[int, FoldSpec]:
+    """Every fold by id, slice counts read once from each image header."""
     slice_counts = {
         e.id: dio.read_volume_dims(_resolve(e.image_path, manifest_path))[0]
         for e in entries
     }
-    folds = dio.make_folds(entries, slice_counts)
-    for f in folds:
-        if f.fold_id == fold_id:
-            return f, folds
-    raise ValueError(f"fold must be 1..5, got {fold_id}")
+    return {f.fold_id: f for f in dio.make_folds(entries, slice_counts)}
+
+
+def _pick_fold(folds: dict[int, FoldSpec], fold_id: int) -> FoldSpec:
+    if fold_id not in folds:
+        raise ValueError(f"fold must be 1..5, got {fold_id}")
+    return folds[fold_id]
 
 
 def cmd_train(args) -> int:
@@ -163,7 +141,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     entries = dio.parse_manifest(args.manifest)
-    fold, _ = _fold_by_id(entries, args.manifest, args.fold)
+    fold = _pick_fold(_folds(entries, args.manifest), args.fold)
     dataset = _load_dataset(entries, args.manifest, set(fold.train) | set(fold.val))
     os.makedirs(args.out, exist_ok=True)
 
@@ -197,13 +175,8 @@ def cmd_eval(args) -> int:
     entries = dio.parse_manifest(args.manifest)
     if not entries:
         return _fail("manifest lists no volumes")
-    ids = [e.id for e in entries]
-    vols = []
-    gts = []
-    for e in entries:
-        vols.append(dio.load_volume(_resolve(e.image_path, args.manifest)))
-        gts.append(dio.load_mask(_resolve(e.mask_path, args.manifest)))
-    report = evaluate(ckpt, vols, gts, ids=ids)
+    dataset = _load_dataset(entries, args.manifest, {e.id for e in entries})
+    report = evaluate(ckpt, dataset)
     os.makedirs(args.out, exist_ok=True)
     dio.atomic_write_bytes(
         os.path.join(args.out, "report.txt"), report.to_text().encode("utf-8")
@@ -213,7 +186,7 @@ def cmd_eval(args) -> int:
     )
     mean, sd = report.aggregates()["dice"]
     print(report.to_text(), end="")
-    print(f"mean dice {mean:.4f} +/- {sd:.4f} over {len(ids)} volumes")
+    print(f"mean dice {mean:.4f} +/- {sd:.4f} over {len(dataset)} volumes")
     return 0
 
 
@@ -260,7 +233,8 @@ def cmd_ablate(args) -> int:
     if not fold_ids:
         return _fail("--folds named no folds")
     entries = dio.parse_manifest(args.manifest)
-    chosen = [_fold_by_id(entries, args.manifest, fid)[0] for fid in fold_ids]
+    folds = _folds(entries, args.manifest)
+    chosen = [_pick_fold(folds, fid) for fid in fold_ids]
     needed = set()
     for f in chosen:
         needed |= set(f.train) | set(f.val) | set(f.test)

@@ -108,10 +108,15 @@ def _read_header(raw: bytes, path: str, magics: tuple[bytes, ...]):
         raise FileFormatError(
             f"{path}: dims {(s, h, w)} exceed the voxel budget", code="dim-overflow"
         )
-    return magic, (s, h, w)
+    return (s, h, w)
 
 
-def _check_payload(raw: bytes, path: str, expected: int) -> bytes:
+def _read_array(path: str, magic: bytes, dtype) -> np.ndarray:
+    """Read a volume file: header, then exactly the payload its dims call for."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    dims = _read_header(raw, path, (magic,))
+    expected = np.dtype(dtype).itemsize * dims[0] * dims[1] * dims[2]
     payload = raw[_HEADER.size:]
     if len(payload) < expected:
         raise FileFormatError(
@@ -123,7 +128,7 @@ def _check_payload(raw: bytes, path: str, expected: int) -> bytes:
             f"{path}: {len(payload) - expected} trailing bytes after payload",
             code="size-mismatch",
         )
-    return payload
+    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 
 
 def save_volume(v: Volume, path: str) -> None:
@@ -132,12 +137,7 @@ def save_volume(v: Volume, path: str) -> None:
 
 
 def load_volume(path: str) -> Volume:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    _, dims = _read_header(raw, path, (VOLUME_MAGIC,))
-    n = dims[0] * dims[1] * dims[2]
-    payload = _check_payload(raw, path, 4 * n)
-    voxels = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    voxels = _read_array(path, VOLUME_MAGIC, "<f4")
     if not np.all(np.isfinite(voxels)) or np.any(voxels < 0):
         raise FileFormatError(
             f"{path}: payload contains non-finite or negative voxels", code="bad-payload"
@@ -151,25 +151,19 @@ def save_mask(m: MaskVolume, path: str) -> None:
 
 
 def load_mask(path: str) -> MaskVolume:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    _, dims = _read_header(raw, path, (MASK_MAGIC,))
-    n = dims[0] * dims[1] * dims[2]
-    payload = _check_payload(raw, path, n)
-    labels = np.frombuffer(payload, dtype=np.uint8).reshape(dims)
+    labels = _read_array(path, MASK_MAGIC, np.uint8)
     if np.any(labels > 1):
         raise FileFormatError(
             f"{path}: mask payload contains values outside 0/1", code="bad-labels"
         )
-    return MaskVolume(labels.copy())
+    return MaskVolume(labels)
 
 
 def read_volume_dims(path: str) -> tuple[int, int, int]:
     """Read only the header; works for image and mask files alike."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
-    _, dims = _read_header(raw, path, (VOLUME_MAGIC, MASK_MAGIC))
-    return dims
+    return _read_header(raw, path, (VOLUME_MAGIC, MASK_MAGIC))
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +237,19 @@ def preprocess_pair(
     return normalize_intensity(v), m
 
 
-def make_triplets(v: Volume, m: MaskVolume) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One sample per slice: stacked (previous, same, next) plus the center mask.
+def _triplet_indices(s: int) -> np.ndarray:
+    """(previous, same, next) slice index for each of s slices, shape (s, 3).
 
     Boundary slices replicate the edge neighbor.
     """
+    i = np.arange(s)
+    return np.stack([np.maximum(i - 1, 0), i, np.minimum(i + 1, s - 1)], axis=1)
+
+
+def make_triplets(v: Volume, m: MaskVolume) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One sample per slice: stacked (previous, same, next) plus the center mask."""
     _require_paired(v, m)
-    s = v.dims[0]
-    out = []
-    for i in range(s):
-        stack = np.stack(
-            [v.voxels[max(i - 1, 0)], v.voxels[i], v.voxels[min(i + 1, s - 1)]]
-        )
-        out.append((stack, m.labels[i]))
-    return out
+    return [(v.voxels[t], m.labels[i]) for i, t in enumerate(_triplet_indices(v.dims[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +355,9 @@ def make_folds(entries: list[ManifestEntry], slice_counts: dict[str, int]) -> li
 # phantom generation
 
 
+_DEFAULT_LESION_RADIUS = (2.0, 4.0)
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Knobs for the synthetic FLAIR-like test volumes."""
@@ -369,12 +365,38 @@ class PhantomSpec:
     seed: int
     dims: tuple[int, int, int] = (24, 64, 64)
     n_lesions: tuple[int, int] = (2, 5)
-    lesion_radius: tuple[float, float] = (2.0, 4.0)
+    lesion_radius: tuple[float, float] = _DEFAULT_LESION_RADIUS
     texture_amplitude: float = 0.45
 
 
 _PLACEMENT_ATTEMPTS = 200
 LESION_MARGIN = 1.5
+
+
+def _brain_semis(dims: tuple[int, int, int]) -> tuple[float, float, float]:
+    """Semi-axes of the phantom's brain ellipsoid."""
+    s, h, w = dims
+    return (0.35 * s, 0.40 * h, 0.40 * w)
+
+
+def _lesion_radius(dims: tuple[int, int, int]) -> tuple[float, float]:
+    """Pick a lesion radius range that actually fits inside the brain.
+
+    A lesion ball of radius r with safety margin m fits at the ellipsoid
+    center when sum(((r + m) / semi)**2) <= 1, so the largest safe padded
+    radius is 1 / sqrt(sum(1 / semi**2)).  Small volumes get proportionally
+    smaller lesions; at the default dims this reduces to the default range.
+    The lower bound never drops below 0.9 voxels so every lesion covers at
+    least one voxel no matter where its fractional center lands.
+    """
+    pad = 1.0 / math.sqrt(sum(1.0 / s**2 for s in _brain_semis(dims)))
+    hi = min(_DEFAULT_LESION_RADIUS[1], pad - LESION_MARGIN)
+    if hi < 0.9:
+        raise ValueError(
+            f"dims {dims[0]}x{dims[1]}x{dims[2]} leave no room for lesions"
+        )
+    lo = min(_DEFAULT_LESION_RADIUS[0], max(0.9, 0.5 * hi))
+    return lo, hi
 
 
 def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
@@ -404,7 +426,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
 
     rng = rngmod.stream(spec.seed, "phantom")
     centers = [(d - 1) / 2 for d in spec.dims]
-    semis = (0.35 * s, 0.40 * h, 0.40 * w)
+    semis = _brain_semis(spec.dims)
     zz, yy, xx = np.ogrid[:s, :h, :w]
     norm2 = (
         ((zz - centers[0]) / semis[0]) ** 2

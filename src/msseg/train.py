@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
 from .checkpoint import Checkpoint, checkpoint_from_model, restore_into_model
 from .config import TrainConfig
-from .data import FoldSpec, MaskVolume, Volume, make_triplets
+from .data import FoldSpec, MaskVolume, Volume, _triplet_indices, make_triplets
 from .errors import ShapeError, TrainingDivergedError
 from .metrics import MetricsReport, ConfusionCounts, confusion, dice
 from .model import (
@@ -28,8 +28,6 @@ from .model import (
     build_model,
     forward,
     named_tensors,
-    restore_arrays,
-    snapshot_arrays,
 )
 from .tensor import Graph, Tensor, backward, sgd_step, slice_channels, sum_all
 
@@ -94,7 +92,7 @@ def _gather_samples(ids: list[str], dataset: Dataset):
     return stacks, masks
 
 
-def _batch_input(stacks: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+def _batch_input(stacks: Sequence[np.ndarray], idx: Iterable[int]) -> np.ndarray:
     """Arrange a sample subset time-major: all previous, all center, all next."""
     chosen = [stacks[i] for i in idx]
     prev = np.stack([s[0] for s in chosen])
@@ -105,14 +103,13 @@ def _batch_input(stacks: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
 
 def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
     """Slice-triplet inference over a whole volume, argmax with ties to 0."""
-    samples = make_triplets(v, MaskVolume(np.zeros(v.dims, dtype=np.uint8)))
-    stacks = [s for s, _ in samples]
+    triplets = _triplet_indices(v.dims[0])
     out = np.empty(v.dims, dtype=np.uint8)
-    for start in range(0, len(stacks), PREDICT_BATCH):
-        idx = np.arange(start, min(start + PREDICT_BATCH, len(stacks)))
-        x = Tensor(_batch_input(stacks, idx))
+    for start in range(0, len(triplets), PREDICT_BATCH):
+        idx = triplets[start : start + PREDICT_BATCH]
+        x = Tensor(_batch_input(v.voxels[idx], range(len(idx))))
         prob = forward(params, x, "eval").data
-        out[idx[0] : idx[-1] + 1] = np.argmax(prob, axis=1).astype(np.uint8)
+        out[start : start + len(idx)] = np.argmax(prob, axis=1).astype(np.uint8)
     return MaskVolume(out)
 
 
@@ -120,7 +117,8 @@ def predict(ckpt: Checkpoint, v: Volume) -> MaskVolume:
     return predict_with_params(restore_into_model(ckpt), v)
 
 
-def _validation_dice(params: ModelParams, ids: list[str], dataset: Dataset) -> float:
+def _mean_dice(params: ModelParams, ids: list[str], dataset: Dataset) -> float:
+    """Mean Dice of the model's predictions over the named volumes."""
     scores = []
     for vid in ids:
         vol, gt = dataset[vid]
@@ -148,8 +146,7 @@ def train(
     dropout_rng = rngmod.stream(tcfg.seed, "train-dropout")
     named = list(named_tensors(params))
 
-    best: dict | None = None
-    best_dice = -1.0
+    best: Checkpoint | None = None
     step = 0
     for epoch in range(1, tcfg.epochs + 1):
         order = shuffle_rng.permutation(len(stacks))
@@ -170,46 +167,26 @@ def train(
             losses.append(value)
 
         train_loss = float(np.mean(losses)) if losses else 0.0
-        val_dice = _validation_dice(params, fold.val, dataset)
+        val_dice = _mean_dice(params, fold.val, dataset)
         if sink is not None:
             sink(epoch, train_loss, val_dice)
-        if val_dice > best_dice:
-            best_dice = val_dice
-            best = {
-                "arrays": snapshot_arrays(params),
-                "epoch": epoch,
-                "step": step,
-                "rng": rngmod.state_to_text(shuffle_rng),
-            }
+        # A NaN score (a fold with no validation volumes) never becomes best.
+        if val_dice > (-1.0 if best is None else best.best_val_dice):
+            rng_text = rngmod.state_to_text(shuffle_rng)
+            best = checkpoint_from_model(params, tcfg, epoch, step, rng_text, val_dice)
 
     if best is None:
         return checkpoint_from_model(params, tcfg, rng_state=rngmod.state_to_text(shuffle_rng))
-    return Checkpoint(
-        model_cfg=mcfg,
-        train_cfg=tcfg,
-        epoch=best["epoch"],
-        step=best["step"],
-        rng_state=best["rng"],
-        best_val_dice=best_dice,
-        arrays=best["arrays"],
-    )
+    return best
 
 
-def evaluate(
-    ckpt: Checkpoint,
-    volumes: list[Volume],
-    gts: list[MaskVolume],
-    ids: list[str] | None = None,
-) -> MetricsReport:
-    """Per-volume confusion and metrics, volumes fanned out across threads."""
-    if not volumes:
+def evaluate(ckpt: Checkpoint, dataset: Dataset) -> MetricsReport:
+    """Per-volume confusion and metrics, volumes fanned out across threads.
+
+    Report rows follow the dataset's key order.
+    """
+    if not dataset:
         raise ValueError("evaluate needs at least one volume")
-    if len(volumes) != len(gts):
-        raise ValueError(f"{len(volumes)} volumes but {len(gts)} ground truths")
-    if ids is None:
-        ids = [f"volume{i + 1}" for i in range(len(volumes))]
-    elif len(ids) != len(volumes):
-        raise ValueError(f"{len(volumes)} volumes but {len(ids)} ids")
     params = restore_into_model(ckpt)
 
     def one(pair: tuple[Volume, MaskVolume]) -> ConfusionCounts:
@@ -217,8 +194,8 @@ def evaluate(
         return confusion(predict_with_params(params, vol), gt)
 
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        counts = list(pool.map(one, zip(volumes, gts)))
-    return MetricsReport.from_counts(dict(zip(ids, counts)))
+        counts = list(pool.map(one, dataset.values()))
+    return MetricsReport.from_counts(dict(zip(dataset, counts)))
 
 
 def run_ablation(
@@ -239,9 +216,7 @@ def run_ablation(
         cells = []
         for fold in folds:
             ckpt = train(fold, dataset, variant, tcfg)
-            params = restore_into_model(ckpt)
-            vol, gt = dataset[fold.test[0]]
-            score = dice(confusion(predict_with_params(params, vol), gt))
+            score = _mean_dice(restore_into_model(ckpt), fold.test, dataset)
             cells.append(score)
             if sink is not None:
                 sink(label, fold.fold_id, score)

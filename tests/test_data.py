@@ -27,7 +27,7 @@ from msseg.data import (
     save_volume,
     write_manifest,
 )
-from msseg.cli import _fold_by_id
+from msseg.cli import _folds
 from msseg.errors import FileFormatError, ShapeError
 
 
@@ -417,9 +417,10 @@ def test_folds_read_slice_counts_from_headers(tmp_path):
             save_mask(MaskVolume(np.zeros((s, 4, 4), np.uint8)), mp)
             # paths relative to the manifest's directory, not the cwd
             entries.append(ManifestEntry(vid, str(p), t, f"{vid}.msvol", f"{vid}.msmsk"))
-    _, folds = _fold_by_id(entries, str(tmp_path / "manifest.tsv"), 1)
-    assert folds[0].counts[2] == 2 + 1 + 2
-    assert folds[0].counts[1] == (2 + 2 + 2) + (2 + 3 + 2) + (2 + 4 + 2)
+    folds = _folds(entries, str(tmp_path / "manifest.tsv"))
+    assert sorted(folds) == [1, 2, 3, 4, 5]
+    assert folds[1].counts[2] == 2 + 1 + 2
+    assert folds[1].counts[1] == (2 + 2 + 2) + (2 + 3 + 2) + (2 + 4 + 2)
 
 
 def test_folds_errors():

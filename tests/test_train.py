@@ -15,13 +15,15 @@ from msseg.data import (
     generate_phantom,
     load_mask,
     make_folds,
+    make_triplets,
     save_mask,
 )
 from msseg.errors import ShapeError, TrainingDivergedError
 from msseg.metrics import compute_all, confusion, dice
-from msseg.model import ModelConfig, build_model, named_tensors, snapshot_arrays
+from msseg.model import ModelConfig, build_model, forward, named_tensors, snapshot_arrays
 from msseg.tensor import Graph, Tensor, backward, softmax_channels
 from msseg.train import (
+    PREDICT_BATCH,
     evaluate,
     predict,
     predict_with_params,
@@ -221,6 +223,24 @@ def test_predict_resolves_exact_ties_to_background():
     assert pred.labels.sum() == 0
 
 
+def test_predict_batches_match_per_triplet_forward():
+    # Six slices span two PREDICT_BATCH batches, the second one partial.
+    assert PREDICT_BATCH < 6 < 2 * PREDICT_BATCH
+    params = build_model(MINI)
+    vol = Volume(rngmod.stream(64, "batch").random((6, 16, 16), dtype=np.float32))
+    msk = MaskVolume(np.zeros(vol.dims, dtype=np.uint8))
+    # Shift the lesion logit so that about half the pixels come out lesion.
+    probe = forward(params, Tensor(vol.voxels[:3, None].astype(np.float64)), "eval").data
+    params.head.b.data[1] += np.median(np.log(probe[:, 0]) - np.log(probe[:, 1]))
+    pred = predict_with_params(params, vol)
+    assert 0 < pred.labels.sum() < pred.labels.size
+    for i, (stack, _) in enumerate(make_triplets(vol, msk)):
+        prob = forward(params, Tensor(stack[:, None].astype(np.float64)), "eval").data
+        np.testing.assert_array_equal(
+            pred.labels[i], np.argmax(prob[0], axis=0).astype(np.uint8), err_msg=f"slice {i}"
+        )
+
+
 def test_predict_rejects_bad_geometry():
     params = build_model(MINI)
     with pytest.raises(ShapeError):
@@ -236,7 +256,7 @@ def test_evaluate_single_volume_aggregate():
     ckpt, _ = run_small(dataset, folds, TrainConfig(epochs=1, lr=1e-3, batch_size=6, seed=4))
     vid = folds[0].test[0]
     vol, gt = dataset[vid]
-    report = evaluate(ckpt, [vol], [gt], ids=[vid])
+    report = evaluate(ckpt, {vid: (vol, gt)})
     assert list(report.per_volume) == [vid]
     row = report.per_volume[vid]
     assert set(row) == {
@@ -251,11 +271,11 @@ def test_evaluate_matches_saved_mask_recomputation(tmp_path):
     dataset, folds = phantom_dataset(108)
     ckpt, _ = run_small(dataset, folds, TrainConfig(epochs=1, lr=1e-3, batch_size=6, seed=6))
     ids = folds[0].val
-    vols = [dataset[i][0] for i in ids]
-    gts = [dataset[i][1] for i in ids]
-    report = evaluate(ckpt, vols, gts, ids=ids)
+    report = evaluate(ckpt, {vid: dataset[vid] for vid in ids})
+    assert list(report.per_volume) == ids
 
-    for vid, vol, gt in zip(ids, vols, gts):
+    for vid in ids:
+        vol, gt = dataset[vid]
         pred = predict(ckpt, vol)
         path = str(tmp_path / f"{vid}.msmsk")
         save_mask(pred, path)
@@ -266,13 +286,8 @@ def test_evaluate_matches_saved_mask_recomputation(tmp_path):
 def test_evaluate_input_validation():
     dataset, folds = phantom_dataset(109)
     ckpt, _ = run_small(dataset, folds, TrainConfig(epochs=0))
-    vol, gt = dataset[folds[0].test[0]]
     with pytest.raises(ValueError, match="at least one"):
-        evaluate(ckpt, [], [])
-    with pytest.raises(ValueError, match="ground truths"):
-        evaluate(ckpt, [vol], [])
-    with pytest.raises(ValueError, match="ids"):
-        evaluate(ckpt, [vol], [gt], ids=["a", "b"])
+        evaluate(ckpt, {})
 
 
 def test_worker_count_env(monkeypatch):
