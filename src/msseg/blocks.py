@@ -81,7 +81,10 @@ class BatchNormParams:
 
 @dataclass
 class DenseLayerParams:
-    """BN -> ReLU -> 3x3 conv (pad 1) -> channel dropout."""
+    """BN -> ReLU -> same-padded conv -> channel dropout.
+
+    Dense blocks use a 3x3 conv, transition down a channel-preserving 1x1.
+    """
 
     bn: BatchNormParams
     conv: ConvParams
@@ -145,32 +148,9 @@ def dense_block(x: Tensor, p: DenseBlockParams, mode: str, rng=None) -> Tensor:
     return concat_channels(outputs)
 
 
-@dataclass
-class TransitionDownParams:
-    """BN -> ReLU -> 1x1 channel-preserving conv -> dropout -> 2x2 maxpool."""
-
-    bn: BatchNormParams
-    conv: ConvParams
-    dropout_p: float
-
-    def __post_init__(self):
-        if self.conv.in_channels != self.conv.out_channels:
-            raise ShapeError(
-                f"transition down conv must preserve channels, got "
-                f"{self.conv.in_channels}->{self.conv.out_channels}"
-            )
-
-    @classmethod
-    def create(cls, rng, channels: int, dropout_p: float) -> "TransitionDownParams":
-        return cls(BatchNormParams.create(channels), ConvParams.create(rng, channels, channels, 1), dropout_p)
-
-
-def transition_down(x: Tensor, p: TransitionDownParams, mode: str, rng=None) -> Tensor:
-    h = batchnorm2d(x, p.bn.gamma, p.bn.beta, p.bn.stats, mode)
-    h = relu(h)
-    h = conv2d(h, p.conv.w, p.conv.b)
-    h = dropout2d(h, p.dropout_p, mode, rng)
-    return maxpool2d(h)
+def transition_down(x: Tensor, p: DenseLayerParams, mode: str, rng=None) -> Tensor:
+    """A dense layer with a 1x1 channel-preserving conv, then 2x2 maxpool."""
+    return maxpool2d(dense_layer(x, p, mode, rng))
 
 
 @dataclass

@@ -28,8 +28,8 @@ from .blocks import (
     ConvLSTMParams,
     ConvParams,
     DenseBlockParams,
+    DenseLayerParams,
     SABlockParams,
-    TransitionDownParams,
     TransitionUpParams,
     dense_block,
     sa_block,
@@ -81,7 +81,7 @@ class ModelConfig:
 class EncoderScaleParams:
     dense: DenseBlockParams
     sa: Optional[SABlockParams]
-    down: TransitionDownParams
+    down: DenseLayerParams
 
 
 @dataclass
@@ -122,7 +122,9 @@ def build_model(cfg: ModelConfig) -> ModelParams:
         dense = DenseBlockParams.create(rng, c, nl, g, cfg.dropout_p)
         skip = c + block_out
         sa = SABlockParams.create(rng, skip) if cfg.use_sa else None
-        down = TransitionDownParams.create(rng, skip, cfg.dropout_p)
+        down = DenseLayerParams(
+            BatchNormParams.create(skip), ConvParams.create(rng, skip, skip, 1), cfg.dropout_p
+        )
         encoder.append(EncoderScaleParams(dense, sa, down))
         skip_channels.append(skip)
         c = skip
@@ -233,13 +235,9 @@ def restore_arrays(params: ModelParams, snap: dict) -> None:
         setattr(stats, attr, snap[name].copy())
 
 
-def param_count(params) -> int:
-    """Total trainable elements. Accepts ModelParams or (name, Tensor) pairs."""
-    if isinstance(params, ModelParams):
-        pairs = named_tensors(params)
-    else:
-        pairs = params
-    return sum(int(np.prod(t.data.shape)) for _, t in pairs)
+def param_count(params: ModelParams) -> int:
+    """Total trainable elements."""
+    return sum(int(np.prod(t.data.shape)) for _, t in named_tensors(params))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from . import rng as rngmod
 from .checkpoint import Checkpoint, checkpoint_from_model, restore_into_model
 from .config import TrainConfig
-from .data import FoldSpec, MaskVolume, Volume, _triplet_indices, make_triplets
+from .data import FoldSpec, MaskVolume, Volume, _require_paired, _triplet_indices
 from .errors import ShapeError, TrainingDivergedError
 from .metrics import MetricsReport, ConfusionCounts, confusion, dice
 from .model import (
@@ -71,34 +71,44 @@ def soft_dice_loss(prob: Tensor, gt: np.ndarray, eps: float = 1e-6) -> Tensor:
     return 1.0 - (2.0 * inter + eps) / (psum + (gsum + eps))
 
 
-def _gather_samples(ids: list[str], dataset: Dataset):
-    stacks = []
-    masks = []
-    hw = None
+def _require_ids(ids: list[str], dataset: Dataset, role: str) -> None:
+    """Refuse a fold list that is empty or names a volume the dataset lacks."""
+    if not ids:
+        raise ValueError(f"fold has no {role} volumes")
     for vid in ids:
         if vid not in dataset:
             raise ValueError(f"volume {vid!r} named by the fold is not in the dataset")
+
+
+def _slice_samples(ids: list[str], dataset: Dataset) -> list:
+    """One (voxels, labels, triplet row) sample per slice, in id then slice
+    order. Samples share the volumes' arrays; batches gather rows from them."""
+    samples = []
+    hw = dataset[ids[0]][0].dims[1:]
+    for vid in ids:
         vol, msk = dataset[vid]
-        if hw is None:
-            hw = vol.dims[1:]
-        elif vol.dims[1:] != hw:
+        _require_paired(vol, msk)
+        if vol.dims[1:] != hw:
             raise ShapeError(
                 f"volume {vid!r} is {vol.dims[1]}x{vol.dims[2]}, other volumes are "
                 f"{hw[0]}x{hw[1]}; training requires one geometry"
             )
-        for stack, mask in make_triplets(vol, msk):
-            stacks.append(stack)
-            masks.append(mask)
-    return stacks, masks
+        samples += [(vol.voxels, msk.labels, row) for row in _triplet_indices(vol.dims[0])]
+    return samples
 
 
-def _batch_input(stacks: Sequence[np.ndarray], idx: Iterable[int]) -> np.ndarray:
-    """Arrange a sample subset time-major: all previous, all center, all next."""
-    chosen = [stacks[i] for i in idx]
-    prev = np.stack([s[0] for s in chosen])
-    cent = np.stack([s[1] for s in chosen])
-    nxt = np.stack([s[2] for s in chosen])
-    return np.concatenate([prev, cent, nxt])[:, None, :, :].astype(np.float64)
+def _batch_input(triplets: np.ndarray) -> np.ndarray:
+    """(B, 3, H, W) triplets as a (3B, 1, H, W) float64 batch, time-major:
+    all previous slices, then all centers, then all next slices."""
+    h, w = triplets.shape[2:]
+    return np.ascontiguousarray(triplets.swapaxes(0, 1), dtype=np.float64).reshape(-1, 1, h, w)
+
+
+def _training_batch(samples: list, idx: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Model input and center-slice truth for the chosen samples."""
+    chosen = [samples[i] for i in idx]
+    x = _batch_input(np.stack([vox[row] for vox, _, row in chosen]))
+    return x, np.stack([lab[row[1]] for _, lab, row in chosen])
 
 
 def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
@@ -107,7 +117,7 @@ def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
     out = np.empty(v.dims, dtype=np.uint8)
     for start in range(0, len(triplets), PREDICT_BATCH):
         idx = triplets[start : start + PREDICT_BATCH]
-        x = Tensor(_batch_input(v.voxels[idx], range(len(idx))))
+        x = Tensor(_batch_input(v.voxels[idx]))
         prob = forward(params, x, "eval").data
         out[start : start + len(idx)] = np.argmax(prob, axis=1).astype(np.uint8)
     return MaskVolume(out)
@@ -137,10 +147,9 @@ def train(
     """Optimize on the fold's training volumes; keep the best-validation model."""
     tcfg.validate()
     params = build_model(mcfg)
-    stacks, masks = _gather_samples(fold.train, dataset)
-    for vid in fold.val:
-        if vid not in dataset:
-            raise ValueError(f"volume {vid!r} named by the fold is not in the dataset")
+    _require_ids(fold.train, dataset, "training")
+    _require_ids(fold.val, dataset, "validation")
+    samples = _slice_samples(fold.train, dataset)
 
     shuffle_rng = rngmod.stream(tcfg.seed, "train-shuffle")
     dropout_rng = rngmod.stream(tcfg.seed, "train-dropout")
@@ -149,14 +158,12 @@ def train(
     best: Checkpoint | None = None
     step = 0
     for epoch in range(1, tcfg.epochs + 1):
-        order = shuffle_rng.permutation(len(stacks))
+        order = shuffle_rng.permutation(len(samples))
         losses = []
         for start in range(0, len(order), tcfg.batch_size):
-            idx = order[start : start + tcfg.batch_size]
-            x = Tensor(_batch_input(stacks, idx))
-            gt = np.stack([masks[i] for i in idx])
+            x, gt = _training_batch(samples, order[start : start + tcfg.batch_size])
             with Graph():
-                prob = forward(params, x, "train", dropout_rng)
+                prob = forward(params, Tensor(x), "train", dropout_rng)
                 loss = soft_dice_loss(prob, gt, tcfg.eps_dice)
             value = float(loss.data)
             step += 1
@@ -170,7 +177,6 @@ def train(
         val_dice = _mean_dice(params, fold.val, dataset)
         if sink is not None:
             sink(epoch, train_loss, val_dice)
-        # A NaN score (a fold with no validation volumes) never becomes best.
         if val_dice > (-1.0 if best is None else best.best_val_dice):
             rng_text = rngmod.state_to_text(shuffle_rng)
             best = checkpoint_from_model(params, tcfg, epoch, step, rng_text, val_dice)
@@ -211,6 +217,8 @@ def run_ablation(
     """
     if not folds:
         raise ValueError("ablation needs at least one fold")
+    for fold in folds:
+        _require_ids(fold.test, dataset, "test")
     rows = []
     for label, variant in zip(ABLATION_LABELS, ablation_variants(base)):
         cells = []

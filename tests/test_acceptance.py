@@ -25,7 +25,6 @@ from msseg.blocks import (
     DenseBlockParams,
     DenseLayerParams,
     SABlockParams,
-    TransitionDownParams,
     TransitionUpParams,
     conv_block,
     convlstm_forward,
@@ -105,8 +104,8 @@ from msseg.tensor import (
     upsample_nearest,
 )
 from msseg.train import (
-    _batch_input,
-    _gather_samples,
+    _slice_samples,
+    _training_batch,
     predict_with_params,
     soft_dice_loss,
 )
@@ -290,7 +289,7 @@ def _block_instances(rng, i):
     db_t = [t for lay in db.layers for t in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
     cases.append(("dense_block", lambda: projected(dense_block(x, db, "train"), i), [x] + db_t))
 
-    td = TransitionDownParams.create(rng, 2, 0.0)
+    td = DenseLayerParams(BatchNormParams.create(2), ConvParams.create(rng, 2, 2, 1), 0.0)
     td_t = [td.bn.gamma, td.bn.beta, td.conv.w, td.conv.b]
     cases.append(
         ("transition_down", lambda: projected(transition_down(x, td, "train"), i), [x] + td_t)
@@ -569,8 +568,8 @@ def test_overfit_capacity():
     with criterion(5, "miniature overfit capacity") as note:
         t0 = time.time()
         vols = _overfit_volumes()
-        stacks, masks = _gather_samples(sorted(vols), vols)
-        n = len(stacks)
+        samples = _slice_samples(sorted(vols), vols)
+        n = len(samples)
 
         cfg = ModelConfig(num_scales=2, layers_per_dense_block=2, growth_rate=4,
                           first_conv_filters=8, convlstm_hidden=6, dropout_p=0.0,
@@ -587,10 +586,9 @@ def test_overfit_capacity():
                 pos = 0
             idx = order[pos:pos + 8]
             pos += 8
-            x = Tensor(_batch_input(stacks, idx))
-            gt = np.stack([masks[i] for i in idx]).astype(np.float64)
+            x, gt = _training_batch(samples, idx)
             with Graph():
-                prob = forward(params, x, "train")
+                prob = forward(params, Tensor(x), "train")
                 loss = soft_dice_loss(prob, gt)
             backward(loss)
             assert np.isfinite(float(loss.data))
@@ -614,8 +612,7 @@ def test_overfit_capacity():
                            use_sa=False, use_clstm=False, seed=0)
         pparams = build_model(pcfg)
         pnamed = list(named_tensors(pparams))
-        probe_x = _batch_input(stacks, np.arange(8))
-        probe_gt = np.stack(masks[:8]).astype(np.float64)
+        probe_x, probe_gt = _training_batch(samples, np.arange(8))
 
         def probe_loss():
             prob = forward(pparams, Tensor(probe_x), "train")
@@ -631,10 +628,9 @@ def test_overfit_capacity():
                 pos = 0
             idx = order[pos:pos + 8]
             pos += 8
-            x = Tensor(_batch_input(stacks, idx))
-            gt = np.stack([masks[i] for i in idx]).astype(np.float64)
+            x, gt = _training_batch(samples, idx)
             with Graph():
-                prob = forward(pparams, x, "train")
+                prob = forward(pparams, Tensor(x), "train")
                 loss = soft_dice_loss(prob, gt)
             backward(loss)
             sgd_step(pnamed, 0.2)
@@ -699,8 +695,8 @@ def test_determinism_and_persistence(small_workspace, tmp_path):
             e.id: (load_volume(str(proc / e.image_path)), load_mask(str(proc / e.mask_path)))
             for e in entries[:4]
         }
-        stacks, masks = _gather_samples(sorted(vols), vols)
-        n = len(stacks)
+        samples = _slice_samples(sorted(vols), vols)
+        n = len(samples)
         cfg = ModelConfig(num_scales=2, layers_per_dense_block=2, growth_rate=4,
                           first_conv_filters=8, convlstm_hidden=6, dropout_p=0.0, seed=9)
 
@@ -717,10 +713,9 @@ def test_determinism_and_persistence(small_workspace, tmp_path):
                     pos = 0
                 idx = order[pos:pos + 4]
                 pos += 4
-                x = Tensor(_batch_input(stacks, idx))
-                gt = np.stack([masks[i] for i in idx]).astype(np.float64)
+                x, gt = _training_batch(samples, idx)
                 with Graph():
-                    prob = forward(params, x, "train")
+                    prob = forward(params, Tensor(x), "train")
                     loss = soft_dice_loss(prob, gt)
                 backward(loss)
                 sgd_step(named, 0.05)

@@ -14,7 +14,6 @@ from msseg.blocks import (
     DenseBlockParams,
     DenseLayerParams,
     SABlockParams,
-    TransitionDownParams,
     TransitionUpParams,
     conv_block,
     convlstm_forward,
@@ -34,6 +33,13 @@ from test_autodiff import gradcheck, projection
 
 def t(a):
     return Tensor(np.asarray(a, dtype=np.float64))
+
+
+def down_params(rng, channels: int) -> DenseLayerParams:
+    """Transition-down parameters as build_model makes them: 1x1, channel-preserving."""
+    return DenseLayerParams(
+        BatchNormParams.create(channels), ConvParams.create(rng, channels, channels, 1), 0.0
+    )
 
 
 def zero_conv(p: ConvParams):
@@ -149,7 +155,7 @@ def test_dense_block_gradcheck():
 
 def test_transition_down_halves_geometry():
     rng = rngmod.stream(58, "td")
-    p = TransitionDownParams.create(rng, 3, 0.0)
+    p = down_params(rng, 3)
     x = t(rng.standard_normal((1, 3, 8, 8)))
     out = transition_down(x, p, "eval")
     assert out.data.shape == (1, 3, 4, 4)
@@ -157,7 +163,7 @@ def test_transition_down_halves_geometry():
 
 def test_transition_down_constant_input_stays_constant():
     rng = rngmod.stream(59, "td2")
-    p = TransitionDownParams.create(rng, 2, 0.0)
+    p = down_params(rng, 2)
     # identity-like 1x1 conv: w = I, b = 0
     p.conv.w.data[:] = 0.0
     for c in range(2):
@@ -171,18 +177,18 @@ def test_transition_down_constant_input_stays_constant():
 
 def test_transition_down_tiny_input_rejected():
     rng = rngmod.stream(60, "td3")
-    p = TransitionDownParams.create(rng, 1, 0.0)
+    p = down_params(rng, 1)
     with pytest.raises(ShapeError):
         transition_down(t(np.ones((1, 1, 1, 4))), p, "eval")
 
 
 def test_transition_down_gradcheck():
     rng = rngmod.stream(61, "td-grad")
-    p = TransitionDownParams.create(rng, 2, 0.0)
+    p = down_params(rng, 2)
     x = rng.standard_normal((2, 2, 4, 4))
 
     def make(ts):
-        tp = TransitionDownParams(
+        tp = DenseLayerParams(
             BatchNormParams(ts[1], ts[2], BatchNormStats.initialized(2)),
             ConvParams(ts[3], ts[4]),
             0.0,
@@ -202,7 +208,7 @@ def test_transition_up_doubles_geometry_and_round_trip():
     out = transition_up(x, p)
     assert out.data.shape == (2, 3, 10, 14)
 
-    td = TransitionDownParams.create(rng, 3, 0.0)
+    td = down_params(rng, 3)
     down = transition_down(out, td, "eval")
     assert down.data.shape == x.data.shape
 

@@ -190,14 +190,6 @@ def test_eval_forward_deterministic():
 # parameter accounting
 
 
-def test_param_count_single_conv_and_empty():
-    rng = rngmod.stream(98, "count")
-    w = Tensor(rng.standard_normal((4, 1, 3, 3)))
-    b = Tensor(np.zeros(4))
-    assert param_count([("w", w), ("b", b)]) == 40
-    assert param_count([]) == 0
-
-
 def test_param_count_miniature_hand_arithmetic():
     # spelled out per position for the 2-scale miniature
     stem = 8 * 1 * 9 + 8

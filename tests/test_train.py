@@ -1,9 +1,13 @@
 """Loss function, training loop determinism, inference, and evaluation."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from msseg import rng as rngmod
+from msseg import train as train_module
 from msseg.checkpoint import load_checkpoint, save_checkpoint
 from msseg.config import TrainConfig
 from msseg.data import (
@@ -24,6 +28,8 @@ from msseg.model import ModelConfig, build_model, forward, named_tensors, snapsh
 from msseg.tensor import Graph, Tensor, backward, softmax_channels
 from msseg.train import (
     PREDICT_BATCH,
+    _slice_samples,
+    _training_batch,
     evaluate,
     predict,
     predict_with_params,
@@ -196,6 +202,63 @@ def test_missing_volume_reported():
         run_small(dataset, folds, TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize(
+    "part,ids,match",
+    [
+        ("train", [], "no training volumes"),
+        ("val", [], "no validation volumes"),
+        ("val", ["absent"], "not in the dataset"),
+    ],
+)
+def test_bad_fold_list_refused_before_training(part, ids, match):
+    dataset, folds = phantom_dataset(105)
+    fold = dataclasses.replace(folds[0], **{part: ids})
+    epochs = []
+    with pytest.raises(ValueError, match=match):
+        train(fold, dataset, MINI, TrainConfig(epochs=1), sink=lambda *row: epochs.append(row))
+    assert epochs == []
+
+
+def test_training_batch_is_time_major_triplets():
+    dataset, folds = phantom_dataset(111)
+    ids = folds[0].train[:2]
+    samples = _slice_samples(ids, dataset)
+    triplets = [pair for vid in ids for pair in make_triplets(*dataset[vid])]
+    assert len(samples) == len(triplets) == 24
+    # both edge slices of both volumes, where the triplet repeats a slice
+    idx = [11, 0, 5, 12, 23]
+    x, gt = _training_batch(samples, idx)
+    assert x.dtype == np.float64
+    assert x.shape == (3 * len(idx), 1, 16, 16)
+    for k, i in enumerate(idx):
+        stack, mask = triplets[i]
+        for step in range(3):
+            np.testing.assert_array_equal(x[step * len(idx) + k, 0], stack[step])
+        np.testing.assert_array_equal(gt[k], mask)
+
+
+def test_training_holds_no_copy_of_the_training_voxels():
+    rng = rngmod.stream(112, "memory")
+    dataset = {}
+    for vid in ("a", "b", "c", "d", "v"):
+        vox = rng.random((32, 64, 64), dtype=np.float32)
+        dataset[vid] = (Volume(vox), MaskVolume((vox > 0.9).astype(np.uint8)))
+    fold = FoldSpec(0, ["a", "b", "c", "d"], ["v"], [], (128, 32, 0))
+    voxel_bytes = sum(dataset[vid][0].voxels.nbytes for vid in fold.train)
+    tiny = ModelConfig(num_scales=1, layers_per_dense_block=1, growth_rate=2,
+                       first_conv_filters=2, convlstm_hidden=2, dropout_p=0.0)
+    held = []
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        train(fold, dataset, tiny, TrainConfig(epochs=1, batch_size=2, seed=3),
+              sink=lambda *_: held.append(tracemalloc.get_traced_memory()[0] - base))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 1
+    assert held[0] < voxel_bytes
+
+
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -323,3 +386,12 @@ def test_ablation_grid_shape_and_labels():
         assert mean == pytest.approx(np.mean(cells))
     with pytest.raises(ValueError, match="at least one fold"):
         run_ablation([], dataset, MINI, tcfg)
+
+
+@pytest.mark.parametrize("ids,match", [([], "no test volumes"), (["absent"], "not in the dataset")])
+def test_ablation_checks_every_test_list_before_training(monkeypatch, ids, match):
+    dataset, folds = phantom_dataset(110)
+    folds = [folds[0], dataclasses.replace(folds[1], test=ids)]
+    monkeypatch.setattr(train_module, "train", lambda *a, **k: pytest.fail("trained first"))
+    with pytest.raises(ValueError, match=match):
+        run_ablation(folds, dataset, MINI, TrainConfig(epochs=1))
