@@ -1,17 +1,23 @@
 """The full segmentation network.
 
-Assembly: a 3x3 stem conv lifts the single input channel to
-``first_conv_filters``; each encoder scale runs DenseBlock, records the
-concat of its input with the dense-path output as the skip tensor, applies
-squeeze attention (when enabled) and TransitionDown; the bottleneck runs a
-DenseBlock and then a ConvLSTM over the three time steps (when enabled);
-each decoder scale runs TransitionUp, concatenates the center slice's skip
-tensor, DenseBlock, and squeeze attention; a 1x1 conv plus channel softmax
-emits the two-class probability map for the center slice.
+Assembly has two stages. ``encode`` maps single slices to features: a 3x3
+stem conv lifts the one input channel to ``first_conv_filters``; each
+encoder scale runs DenseBlock, records the concat of its input with the
+dense-path output as the skip tensor, applies squeeze attention (when
+enabled) and TransitionDown; the bottleneck DenseBlock closes the stage.
+``decode`` fuses a triplet and segments its center slice: a ConvLSTM over
+the three bottleneck time steps (when enabled; otherwise the center step
+goes on alone), then each decoder scale runs TransitionUp, concatenates the
+center slice's skip tensor, DenseBlock, and squeeze attention; a 1x1 conv
+plus channel softmax emits the two-class probability map.
 
-The input triplet rides through the encoder as one batch of 3B samples
-(previous slices first, then centers, then next slices), which is what
-makes the per-slice encoder weights shared by construction.
+``forward`` runs both on a triplet batch: the 3B slices ride through the
+encoder as one batch (previous slices first, then centers, then next
+slices), which is what makes the per-slice encoder weights shared by
+construction. Nothing in ``encode`` mixes samples in eval mode, so a
+slice's features are the same in every triplet that holds it; volume
+inference (``train.predict_with_params``) therefore encodes each slice
+once and decodes every triplet from those features.
 """
 
 from __future__ import annotations
@@ -320,29 +326,17 @@ def count_params(cfg: ModelConfig) -> dict:
 # forward
 
 
-def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
-    """Map an input triplet batch (3B, 1, H, W) to (B, 2, H, W) probabilities.
-
-    The batch axis is time-major: the first B samples are the previous
-    slices, the middle B the centers, the last B the next slices.
-    """
-    cfg = params.cfg
-    if mode not in ("train", "eval"):
-        raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
+def encode(params: ModelParams, x: Tensor, mode: str, rng=None) -> tuple[list, Tensor]:
+    """Map slices (N, 1, H, W) to their per-scale skip tensors, shallowest
+    first, and the bottleneck dense-block output."""
     if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise ShapeError(f"forward expects (3B, 1, H, W) input, got {x.shape}")
-    b3, _, h, w = x.data.shape
-    if b3 % 3:
-        raise ShapeError(
-            f"forward expects 3 time steps stacked on the batch axis, got batch {b3}"
-        )
-    div = 1 << cfg.num_scales
+        raise ShapeError(f"encode expects (N, 1, H, W) slices, got {x.shape}")
+    h, w = x.data.shape[2:]
+    div = 1 << params.cfg.num_scales
     if h % div or w % div:
         raise ShapeError(
-            f"spatial extents must be divisible by 2^{cfg.num_scales} = {div}, got {h}x{w}"
+            f"spatial extents must be divisible by 2^{params.cfg.num_scales} = {div}, got {h}x{w}"
         )
-    b = b3 // 3
-
     stream = conv2d(x, params.stem.w, params.stem.b)
     skips = []
     for sc in params.encoder:
@@ -351,24 +345,55 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
         skips.append(sk)
         gated = sa_block(sk, sc.sa, mode) if sc.sa is not None else sk
         stream = transition_down(gated, sc.down, mode, rng)
+    return skips, dense_block(stream, params.bottleneck, mode, rng)
 
-    db = dense_block(stream, params.bottleneck, mode, rng)
+
+def decode(params: ModelParams, center_skips: list, steps: list, mode: str, rng=None) -> Tensor:
+    """Map B triplets' encoder features to (B, 2, H, W) center-slice
+    probabilities.
+
+    ``center_skips`` are the center slices' skip tensors as ``encode``
+    orders them; ``steps`` are the bottleneck features of the time steps
+    in order (previous, center, next). Without the ConvLSTM only the
+    middle step is read, so a caller may pass the center step alone.
+    """
     if params.lstm is not None:
-        steps = [slice_batch(db, k * b, (k + 1) * b) for k in range(3)]
         u = convlstm_forward(steps, params.lstm)
     else:
-        u = slice_batch(db, b, 2 * b)
-
-    for j, sc in enumerate(params.decoder):
+        u = steps[len(steps) // 2]
+    for sc, skip in zip(params.decoder, reversed(center_skips)):
         u = transition_up(u, sc.up)
-        skip_center = slice_batch(skips[cfg.num_scales - 1 - j], b, 2 * b)
-        u = concat_channels([u, skip_center])
+        u = concat_channels([u, skip])
         u = dense_block(u, sc.dense, mode, rng)
         if sc.sa is not None:
             u = sa_block(u, sc.sa, mode)
-
     logits = conv2d(u, params.head.w, params.head.b)
     return softmax_channels(logits)
+
+
+def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
+    """Map an input triplet batch (3B, 1, H, W) to (B, 2, H, W) probabilities.
+
+    The batch axis is time-major: the first B samples are the previous
+    slices, the middle B the centers, the last B the next slices.
+    """
+    if mode not in ("train", "eval"):
+        raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
+    if x.data.ndim != 4 or x.data.shape[1] != 1:
+        raise ShapeError(f"forward expects (3B, 1, H, W) input, got {x.shape}")
+    b3 = x.data.shape[0]
+    if b3 % 3:
+        raise ShapeError(
+            f"forward expects 3 time steps stacked on the batch axis, got batch {b3}"
+        )
+    b = b3 // 3
+
+    skips, db = encode(params, x, mode, rng)
+    center_skips = [slice_batch(sk, b, 2 * b) for sk in skips]
+    # without the ConvLSTM, decode reads the center step only
+    ks = range(3) if params.lstm is not None else (1,)
+    steps = [slice_batch(db, k * b, (k + 1) * b) for k in ks]
+    return decode(params, center_skips, steps, mode, rng)
 
 
 def ablation_variants(base: ModelConfig) -> list:

@@ -26,6 +26,8 @@ from .model import (
     ModelParams,
     ablation_variants,
     build_model,
+    decode,
+    encode,
     forward,
     named_tensors,
 )
@@ -35,8 +37,9 @@ ProgressSink = Callable[[int, float, float], None]
 
 Dataset = Mapping[str, tuple[Volume, MaskVolume]]
 
-# Triplets per eval forward in volume inference. Eval forward is
-# batch-invariant, so this sets only peak memory and time, not the mask.
+# Center slices per decode in volume inference, which also encodes up to
+# this many new slices at a time. Eval mode is batch-invariant, so this sets
+# only peak memory and time, not the mask.
 PREDICT_BATCH = 4
 
 
@@ -97,29 +100,51 @@ def _slice_samples(ids: list[str], dataset: Dataset) -> list:
     return samples
 
 
-def _batch_input(triplets: np.ndarray) -> np.ndarray:
-    """(B, 3, H, W) triplets as a (3B, 1, H, W) float64 batch, time-major:
-    all previous slices, then all centers, then all next slices."""
-    h, w = triplets.shape[2:]
-    return np.ascontiguousarray(triplets.swapaxes(0, 1), dtype=np.float64).reshape(-1, 1, h, w)
-
-
 def _training_batch(samples: list, idx: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Model input and center-slice truth for the chosen samples."""
+    """Model input and center-slice truth for the chosen samples.
+
+    The input is the (3B, 1, H, W) float64 triplet batch ``forward`` takes,
+    time-major: all previous slices, then all centers, then all next slices.
+    """
     chosen = [samples[i] for i in idx]
-    x = _batch_input(np.stack([vox[row] for vox, _, row in chosen]))
+    triplets = np.stack([vox[row] for vox, _, row in chosen])
+    h, w = triplets.shape[2:]
+    x = np.ascontiguousarray(triplets.swapaxes(0, 1), dtype=np.float64).reshape(-1, 1, h, w)
     return x, np.stack([lab[row[1]] for _, lab, row in chosen])
 
 
+def _encoded_features(params: ModelParams, voxels: np.ndarray) -> list[np.ndarray]:
+    """Eval-mode encoder features of consecutive slices (N, H, W): the skip
+    tensors, shallowest first, then the bottleneck output."""
+    skips, db = encode(params, Tensor(voxels[:, None].astype(np.float64)), "eval")
+    return [t.data for t in skips + [db]]
+
+
 def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
-    """Slice-triplet inference over a whole volume, argmax with ties to 0."""
+    """Slice-triplet inference over a whole volume, argmax with ties to 0.
+
+    Each slice is encoded once, in slice order. The triplets of
+    PREDICT_BATCH centers at a time are decoded from a window that holds
+    the features of at most PREDICT_BATCH + 2 slices: those centers and
+    their outer neighbours, edges replicated as in ``_triplet_indices``.
+    """
     triplets = _triplet_indices(v.dims[0])
     out = np.empty(v.dims, dtype=np.uint8)
+    lo, hi, window = 0, 0, []  # window[k][i] is feature k of slice lo + i
     for start in range(0, len(triplets), PREDICT_BATCH):
-        idx = triplets[start : start + PREDICT_BATCH]
-        x = Tensor(_batch_input(v.voxels[idx]))
-        prob = forward(params, x, "eval").data
-        out[start : start + len(idx)] = np.argmax(prob, axis=1).astype(np.uint8)
+        rows = triplets[start : start + PREDICT_BATCH]
+        first, stop = rows[0, 0], rows[-1, 2] + 1
+        if stop > hi:
+            fresh = _encoded_features(params, v.voxels[hi:stop])
+            if window:
+                fresh = [np.concatenate([f[first - lo :], g]) for f, g in zip(window, fresh)]
+            window, lo, hi = fresh, first, stop
+        rows = rows - lo
+        center_skips = [Tensor(f[rows[:, 1]]) for f in window[:-1]]
+        steps = [Tensor(window[-1][rows[:, k]]) for k in range(3)]
+        prob = decode(params, center_skips, steps, "eval").data
+        out[start : start + len(rows)] = np.argmax(prob, axis=1).astype(np.uint8)
+        del center_skips, steps, prob  # freed before the next chunk encodes
     return MaskVolume(out)
 
 
@@ -218,6 +243,8 @@ def run_ablation(
     if not folds:
         raise ValueError("ablation needs at least one fold")
     for fold in folds:
+        _require_ids(fold.train, dataset, "training")
+        _require_ids(fold.val, dataset, "validation")
         _require_ids(fold.test, dataset, "test")
     rows = []
     for label, variant in zip(ABLATION_LABELS, ablation_variants(base)):

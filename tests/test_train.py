@@ -24,7 +24,15 @@ from msseg.data import (
 )
 from msseg.errors import ShapeError, TrainingDivergedError
 from msseg.metrics import compute_all, confusion, dice
-from msseg.model import ModelConfig, build_model, forward, named_tensors, snapshot_arrays
+from msseg.model import (
+    ModelConfig,
+    ablation_variants,
+    build_model,
+    encode,
+    forward,
+    named_tensors,
+    snapshot_arrays,
+)
 from msseg.tensor import Graph, Tensor, backward, softmax_channels
 from msseg.train import (
     PREDICT_BATCH,
@@ -286,27 +294,64 @@ def test_predict_resolves_exact_ties_to_background():
     assert pred.labels.sum() == 0
 
 
-def test_predict_batches_match_per_triplet_forward():
-    # Six slices span two PREDICT_BATCH batches, the second one partial.
-    assert PREDICT_BATCH < 6 < 2 * PREDICT_BATCH
-    params = build_model(MINI)
-    vol = Volume(rngmod.stream(64, "batch").random((6, 16, 16), dtype=np.float32))
+@pytest.mark.parametrize("variant", range(4), ids=["plain", "clstm", "sa", "sa_clstm"])
+@pytest.mark.parametrize(
+    "depth", [1, 2, PREDICT_BATCH, PREDICT_BATCH + 1, 2 * PREDICT_BATCH + 1]
+)
+def test_predict_batches_match_per_triplet_forward(depth, variant):
+    # The depths cover one slice, one partial and one full chunk of
+    # PREDICT_BATCH centers, a trailing one-center chunk whose triplet needs
+    # no new encoding, and a third chunk. The variants without the ConvLSTM
+    # decode from the center step alone.
+    params = build_model(ablation_variants(MINI)[variant])
+    vol = Volume(rngmod.stream(64, "batch").random((depth, 16, 16), dtype=np.float32))
     msk = MaskVolume(np.zeros(vol.dims, dtype=np.uint8))
+    stacks = [Tensor(stack[:, None].astype(np.float64)) for stack, _ in make_triplets(vol, msk)]
     # Shift the lesion logit so that about half the pixels come out lesion.
-    probe = forward(params, Tensor(vol.voxels[:3, None].astype(np.float64)), "eval").data
+    probe = forward(params, stacks[0], "eval").data
     params.head.b.data[1] += np.median(np.log(probe[:, 0]) - np.log(probe[:, 1]))
     pred = predict_with_params(params, vol)
     assert 0 < pred.labels.sum() < pred.labels.size
-    for i, (stack, _) in enumerate(make_triplets(vol, msk)):
-        prob = forward(params, Tensor(stack[:, None].astype(np.float64)), "eval").data
+    for i, stack in enumerate(stacks):
+        prob = forward(params, stack, "eval").data
         np.testing.assert_array_equal(
             pred.labels[i], np.argmax(prob[0], axis=0).astype(np.uint8), err_msg=f"slice {i}"
         )
 
 
+def test_predict_encodes_each_slice_once_within_a_bounded_window(monkeypatch):
+    depth = 3 * PREDICT_BATCH + 2
+    params = build_model(MINI)
+    vox = rngmod.stream(65, "once").random((depth, 32, 32), dtype=np.float32)
+    skips, db = encode(params, Tensor(vox[:1, None].astype(np.float64)), "eval")
+    slice_bytes = sum(t.data.nbytes for t in skips + [db])
+    encoded, held = [], []
+
+    def recording(params, x, mode, rng=None):
+        # the slices are distinct, so each input row names its slice
+        for row in x.data[:, 0]:
+            encoded.append(int(np.flatnonzero((vox == row).all(axis=(1, 2)))[0]))
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return encode(params, x, mode, rng)
+
+    monkeypatch.setattr(train_module, "encode", recording)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        predict_with_params(params, Volume(vox))
+    finally:
+        tracemalloc.stop()
+    assert encoded == list(range(depth))
+    # Before each encoding, the window of earlier features that is still
+    # alive spans at most PREDICT_BATCH + 2 slices; the slack covers the
+    # new slices' float64 input and the output mask.
+    assert len(held) == 4
+    assert max(held) < (PREDICT_BATCH + 3) * slice_bytes
+
+
 def test_predict_rejects_bad_geometry():
     params = build_model(MINI)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="spatial extents"):
         predict_with_params(params, Volume(np.ones((3, 15, 16))))
 
 
@@ -395,3 +440,12 @@ def test_ablation_checks_every_test_list_before_training(monkeypatch, ids, match
     monkeypatch.setattr(train_module, "train", lambda *a, **k: pytest.fail("trained first"))
     with pytest.raises(ValueError, match=match):
         run_ablation(folds, dataset, MINI, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("part", ["train", "val"])
+def test_ablation_checks_every_fold_list_before_training(monkeypatch, part):
+    dataset, folds = phantom_dataset(110)
+    late = dataclasses.replace(folds[1], **{part: getattr(folds[1], part) + ["absent"]})
+    monkeypatch.setattr(train_module, "train", lambda *a, **k: pytest.fail("trained first"))
+    with pytest.raises(ValueError, match="not in the dataset"):
+        run_ablation([folds[0], late], dataset, MINI, TrainConfig(epochs=1))
