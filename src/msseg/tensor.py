@@ -9,6 +9,8 @@ gradients. The tape is append-only, so reverse insertion order is a valid
 topological order, and ``backward`` is a single reversed sweep that pops
 each node as it runs it, freeing the node's closure on the way down. With
 no graph active, operations are pure evaluation and keep no references.
+Convolutions work one sample at a time, so their patch-matrix temporaries
+cover one sample, not the batch.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
@@ -384,16 +386,16 @@ def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
     return win.reshape(n, c * k * k, ho * wo)
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int, stride: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches onto a zero canvas of ``shape``."""
+def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int) -> np.ndarray:
+    """Adjoint of stride-2 _im2col: scatter-add patches onto a zero canvas of ``shape``."""
     n, c, hp, wp = shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+    ho = (hp - k) // 2 + 1
+    wo = (wp - k) // 2 + 1
     x = np.zeros(shape)
     cols = cols.reshape(n, c, k, k, ho, wo)
     for i in range(k):
         for j in range(k):
-            x[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += cols[:, :, i, j]
+            x[:, :, i:i + 2 * ho:2, j:j + 2 * wo:2] += cols[:, :, i, j]
     return x
 
 
@@ -416,6 +418,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
+
+    All three products run one sample at a time on that sample's (k*k
+    times its input) patch matrix, so a conv's temporaries cover one
+    sample, not the batch. The input gradient is the "same" correlation of
+    the output gradient with the kernel rotated 180 degrees and its channel
+    axes swapped.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
@@ -427,31 +435,37 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     pad = k // 2
     xd = x.data
 
-    def patches(a: np.ndarray) -> np.ndarray:
-        xp = np.pad(a, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else a
-        return _im2col(xp, k, 1)
+    def patches(a: np.ndarray, i: int) -> np.ndarray:
+        """Sample i's (channels*k*k, H*W) patch matrix of ``a``."""
+        one = a[i:i + 1]
+        xp = np.pad(one, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else one
+        return _im2col(xp, k, 1)[0]
+
+    def correlate(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``mat @ patches`` for each sample of ``a``: (N, rows of mat, H, W)."""
+        res = np.empty((n, mat.shape[0], h * wd))
+        for i in range(n):
+            np.matmul(mat, patches(a, i), out=res[i])
+        return res.reshape(n, -1, h, wd)
 
     wmat = w.data.reshape(f, -1)
-    # the patch matrix (k*k times the input) is a temporary, not kept for backward
-    out = (wmat @ patches(xd)).reshape(n, f, h, wd) + b.data[None, :, None, None]
+    out = correlate(wmat, xd)
+    out += b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
     wshape = w.data.shape
-    pshape = (n, c, h + 2 * pad, wd + 2 * pad)
 
     def vjp(go):
-        gof = go.reshape(n, f, -1)
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
-        # rebuild one sample's patches at a time from the input; BLAS matmuls
         gw = (
-            sum(gof[i] @ patches(xd[i:i + 1])[0].T for i in range(n)).reshape(wshape)
+            sum(go[i].reshape(f, -1) @ patches(xd, i).T for i in range(n)).reshape(wshape)
             if need_w
             else None
         )
         gx = None
         if need_x:
-            gxp = _col2im(np.matmul(wmat.T, gof), pshape, k, 1)
-            gx = gxp[:, :, pad:pad + h, pad:pad + wd]
+            wt = wmat.reshape(wshape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            gx = correlate(wt, go)
         return gx, gw, gb
 
     return _emit(out, (x, w, b), vjp)
@@ -471,7 +485,7 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     xf = x.data.reshape(n, c, h * wd)
     wmat = w.data.reshape(c, f * k * k)
     cols = np.matmul(wmat.T, xf)  # (N, F*k*k, H*W)
-    out = _col2im(cols, (n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k), k, 2)
+    out = _col2im(cols, (n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k), k)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     wshape = w.data.shape

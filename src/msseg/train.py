@@ -171,10 +171,10 @@ def train(
 ) -> Checkpoint:
     """Optimize on the fold's training volumes; keep the best-validation model."""
     tcfg.validate()
-    params = build_model(mcfg)
     _require_ids(fold.train, dataset, "training")
     _require_ids(fold.val, dataset, "validation")
     samples = _slice_samples(fold.train, dataset)
+    params = build_model(mcfg)
 
     shuffle_rng = rngmod.stream(tcfg.seed, "train-shuffle")
     dropout_rng = rngmod.stream(tcfg.seed, "train-dropout")

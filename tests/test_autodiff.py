@@ -184,6 +184,65 @@ def test_conv2d_weight_grad_matches_loop_oracle(n, k):
     np.testing.assert_allclose(w.grad, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_input_grad_matches_loop_oracle(n, k):
+    rng = rngmod.stream(36, f"conv-xgrad-{n}-{k}")
+    x = Tensor(rng.standard_normal((n, 2, 5, 4)), requires_grad=True)
+    r = rng.standard_normal((n, 3, 5, 4))
+    w = rng.standard_normal((3, 2, k, k))
+    zero_bias = np.zeros(3)
+    with Graph():
+        loss = sum_all(mul(conv2d(x, Tensor(w), Tensor(zero_bias)), Tensor(r)))
+    backward(loss)
+    # the loss is linear in x: each input's gradient is the loss at that unit input
+    want = np.zeros(x.shape)
+    for idx in np.ndindex(*x.shape):
+        unit = np.zeros(x.shape)
+        unit[idx] = 1.0
+        want[idx] = np.sum(oracles.conv2d_loops(unit, w, zero_bias, pad=k // 2) * r)
+    np.testing.assert_allclose(x.grad, want, rtol=0.0, atol=1e-12)
+
+
+def _conv_transient_case():
+    """A dense-layer-like conv: (4, 48, 32, 32) input, 12 3x3 filters."""
+    rng = rngmod.stream(37, "conv-transient")
+    x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
+    w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
+    b = Tensor(np.zeros(12), requires_grad=True)
+    # one sample's 3x3 patch matrix is 9x its input; a batch's would be 36x
+    return x, w, b, 18 * x.data[0].nbytes
+
+
+def test_conv2d_forward_transient_covers_one_sample():
+    x, w, b, bound = _conv_transient_case()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, w, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (4, 12, 32, 32)
+    assert peak < bound
+
+
+def test_conv2d_backward_transient_covers_one_sample():
+    x, w, b, bound = _conv_transient_case()
+    r = Tensor(rngmod.stream(38, "conv-transient-r").standard_normal((4, 12, 32, 32)))
+    with Graph():
+        loss = sum_all(mul(conv2d(x, w, b), r))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and w.grad is not None
+    assert peak < bound
+
+
 # ---------------------------------------------------------------------------
 # sgd
 

@@ -216,11 +216,20 @@ def test_missing_volume_reported():
         ("train", [], "no training volumes"),
         ("val", [], "no validation volumes"),
         ("val", ["absent"], "not in the dataset"),
+        ("train", ["p1t1", "narrow"], "one geometry"),
     ],
 )
-def test_bad_fold_list_refused_before_training(part, ids, match):
+def test_bad_fold_list_refused_before_training(part, ids, match, monkeypatch):
     dataset, folds = phantom_dataset(105)
+    dataset["narrow"] = generate_phantom(
+        PhantomSpec(seed=106, dims=(12, 16, 8), n_lesions=(1, 1), lesion_radius=(0.8, 1.2))
+    )
     fold = dataclasses.replace(folds[0], **{part: ids})
+
+    def no_model(cfg):
+        raise AssertionError("build_model ran before the fold was checked")
+
+    monkeypatch.setattr(train_module, "build_model", no_model)
     epochs = []
     with pytest.raises(ValueError, match=match):
         train(fold, dataset, MINI, TrainConfig(epochs=1), sink=lambda *row: epochs.append(row))
