@@ -72,19 +72,6 @@ def checkpoint_from_model(
 def restore_into_model(ckpt: Checkpoint) -> ModelParams:
     """Build the model from the stored config and load every array into it."""
     params = build_model(ckpt.model_cfg)
-    expected = snapshot_arrays(params)
-    for name, arr in expected.items():
-        if name not in ckpt.arrays:
-            raise ValueError(f"checkpoint is missing parameter {name!r}")
-        got = ckpt.arrays[name]
-        if got.shape != arr.shape:
-            raise ValueError(
-                f"checkpoint parameter {name!r} has shape {got.shape}, "
-                f"the model expects {arr.shape}"
-            )
-    for name in ckpt.arrays:
-        if name not in expected:
-            raise ValueError(f"checkpoint has unexpected record {name!r}")
     restore_arrays(params, ckpt.arrays)
     return params
 

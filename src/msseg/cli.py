@@ -71,6 +71,8 @@ def _load_dataset(entries: list[ManifestEntry], manifest_path: str, ids):
 
 def cmd_phantom(args) -> int:
     dims = _parse_dims(args.dims)
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for i in range(args.count):

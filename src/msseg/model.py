@@ -234,11 +234,28 @@ def snapshot_arrays(params: ModelParams) -> dict:
 
 
 def restore_arrays(params: ModelParams, snap: dict) -> None:
+    """Load a copy of every trainable tensor and BN buffer from ``snap``,
+    which must hold exactly the model's names at the model's shapes."""
+    rest = dict(snap)
+
+    def take(name: str, current: np.ndarray) -> np.ndarray:
+        got = rest.pop(name, None)
+        if got is None:
+            raise ValueError(f"checkpoint is missing parameter {name!r}")
+        if got.shape != current.shape:
+            raise ValueError(
+                f"checkpoint parameter {name!r} has shape {got.shape}, "
+                f"the model expects {current.shape}"
+            )
+        return got.copy()
+
     for name, t in named_tensors(params):
-        t.data = snap[name].copy()
+        t.data = take(name, t.data)
         t.grad = None
     for name, stats, attr in named_buffers(params):
-        setattr(stats, attr, snap[name].copy())
+        setattr(stats, attr, take(name, getattr(stats, attr)))
+    if rest:
+        raise ValueError(f"checkpoint has unexpected record {next(iter(rest))!r}")
 
 
 def param_count(params: ModelParams) -> int:

@@ -9,7 +9,8 @@ gradients. The tape is append-only, so reverse insertion order is a valid
 topological order, and ``backward`` is a single reversed sweep that pops
 each node as it runs it, freeing the node's closure on the way down. With
 no graph active, operations are pure evaluation and keep no references.
-Convolutions work one sample at a time, so their patch-matrix temporaries
+Both convolution ops, ``conv2d`` and ``conv_transpose2d``, work one sample
+at a time through one set of patch-matrix helpers, so their temporaries
 cover one sample, not the batch.
 
 Everything computes in float64. Gradients accumulate additively across
@@ -371,32 +372,37 @@ def upsample_nearest(x: Tensor) -> Tensor:
 # convolution
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(N, C, Hp, Wp) -> (N, C*k*k, L) patch matrix of k x k windows, L = Ho*Wo."""
-    n, c, hp, wp = xp.shape
+def _patches(a: np.ndarray, k: int, pad: int, stride: int) -> np.ndarray:
+    """(C, H, W) sample -> (C*k*k, L) patch matrix of its k x k windows at
+    ``stride`` after zero-padding by ``pad``; L = Ho*Wo."""
+    if pad:
+        a = np.pad(a, ((0, 0), (pad, pad), (pad, pad)))
+    c, hp, wp = a.shape
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    sn, sc, sh, sw = xp.strides
+    sc, sh, sw = a.strides
     win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, k, k, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
+        a, (c, k, k, ho, wo), (sc, sh, sw, sh * stride, sw * stride), writeable=False
     )
-    return win.reshape(n, c * k * k, ho * wo)
+    return win.reshape(c * k * k, ho * wo)
 
 
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int, int], k: int) -> np.ndarray:
-    """Adjoint of stride-2 _im2col: scatter-add patches onto a zero canvas of ``shape``."""
-    n, c, hp, wp = shape
-    ho = (hp - k) // 2 + 1
-    wo = (wp - k) // 2 + 1
-    x = np.zeros(shape)
-    cols = cols.reshape(n, c, k, k, ho, wo)
-    for i in range(k):
-        for j in range(k):
-            x[:, :, i:i + 2 * ho:2, j:j + 2 * wo:2] += cols[:, :, i, j]
-    return x
+def _correlate(mat, a, k, pad, stride, ho, wo) -> np.ndarray:
+    """``mat @ _patches(a[i], ...)`` for each sample i of ``a``, written into
+    one (N, rows of mat, ho, wo) output."""
+    n = a.shape[0]
+    res = np.empty((n, mat.shape[0], ho * wo))
+    for i in range(n):
+        np.matmul(mat, _patches(a[i], k, pad, stride), out=res[i])
+    return res.reshape(n, -1, ho, wo)
+
+
+def _weight_grad(g, a, k, pad, stride) -> np.ndarray:
+    """Sum over samples i of ``g[i] @ _patches(a[i], ...).T``, with each
+    ``g[i]`` read as a (channels, L) matrix."""
+    return sum(
+        g[i].reshape(g.shape[1], -1) @ _patches(a[i], k, pad, stride).T for i in range(len(g))
+    )
 
 
 def _square_kernel(x: Tensor, w: Tensor, op: str, channel_axis: int) -> int:
@@ -419,37 +425,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
 
-    All three products run one sample at a time on that sample's (k*k
-    times its input) patch matrix, so a conv's temporaries cover one
-    sample, not the batch. The input gradient is the "same" correlation of
-    the output gradient with the kernel rotated 180 degrees and its channel
-    axes swapped.
+    All three products run one sample at a time on that sample's patch
+    matrix. The input gradient is the "same" correlation of the output
+    gradient with the kernel rotated 180 degrees and its channel axes swapped.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
         raise ShapeError(f"conv2d needs an odd kernel, got {k}x{k}")
-    n, c, h, wd = x.data.shape
+    _, c, h, wd = x.data.shape
     f = w.data.shape[0]
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
     pad = k // 2
     xd = x.data
-
-    def patches(a: np.ndarray, i: int) -> np.ndarray:
-        """Sample i's (channels*k*k, H*W) patch matrix of ``a``."""
-        one = a[i:i + 1]
-        xp = np.pad(one, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else one
-        return _im2col(xp, k, 1)[0]
-
-    def correlate(mat: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """``mat @ patches`` for each sample of ``a``: (N, rows of mat, H, W)."""
-        res = np.empty((n, mat.shape[0], h * wd))
-        for i in range(n):
-            np.matmul(mat, patches(a, i), out=res[i])
-        return res.reshape(n, -1, h, wd)
-
     wmat = w.data.reshape(f, -1)
-    out = correlate(wmat, xd)
+    out = _correlate(wmat, xd, k, pad, 1, h, wd)
     out += b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
@@ -457,15 +447,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(go):
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
-        gw = (
-            sum(go[i].reshape(f, -1) @ patches(xd, i).T for i in range(n)).reshape(wshape)
-            if need_w
-            else None
-        )
+        gw = _weight_grad(go, xd, k, pad, 1).reshape(wshape) if need_w else None
         gx = None
         if need_x:
             wt = wmat.reshape(wshape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            gx = correlate(wt, go)
+            gx = _correlate(wt, go, k, pad, 1, h, wd)
         return gx, gw, gb
 
     return _emit(out, (x, w, b), vjp)
@@ -478,24 +464,31 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     2*(W-1) + k). It is the exact adjoint of the unpadded stride-2
     cross-correlation with the same weight array read as (F, C, k, k):
     <xcorr(a; w), y> == <a, conv_transpose2d(y; w)>.
+
+    Like conv2d it works one sample at a time; its gradients are that
+    stride-2 cross-correlation, through the same helpers conv2d uses.
     """
     k = _square_kernel(x, w, "conv_transpose2d", 0)
     n, c, h, wd = x.data.shape
     f = w.data.shape[1]
-    xf = x.data.reshape(n, c, h * wd)
+    xd = x.data
     wmat = w.data.reshape(c, f * k * k)
-    cols = np.matmul(wmat.T, xf)  # (N, F*k*k, H*W)
-    out = _col2im(cols, (n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k), k)
+    # one reused (F*k*k, H*W) buffer holds each sample's taps for the scatter
+    out = np.zeros((n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k))
+    cols = np.empty((f * k * k, h * wd))
+    taps = cols.reshape(f, k, k, h, wd)
+    for s in range(n):
+        np.matmul(wmat.T, xd[s].reshape(c, h * wd), out=cols)
+        for i in range(k):
+            for j in range(k):
+                out[s, :, i:i + 2 * h:2, j:j + 2 * wd:2] += taps[:, i, j]
 
     need_x, need_w = x.requires_grad, w.requires_grad
     wshape = w.data.shape
 
     def vjp(go):
-        patches = _im2col(go, k, 2)  # (N, F*k*k, H*W)
-        gx = np.matmul(wmat, patches).reshape(n, c, h, wd) if need_x else None
-        gw = (
-            sum(xf[i] @ patches[i].T for i in range(n)).reshape(wshape) if need_w else None
-        )
+        gx = _correlate(wmat, go, k, 0, 2, h, wd) if need_x else None
+        gw = _weight_grad(xd, go, k, 0, 2).reshape(wshape) if need_w else None
         return gx, gw
 
     return _emit(out, (x, w), vjp)

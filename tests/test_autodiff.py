@@ -204,34 +204,43 @@ def test_conv2d_input_grad_matches_loop_oracle(n, k):
     np.testing.assert_allclose(x.grad, want, rtol=0.0, atol=1e-12)
 
 
-def _conv_transient_case():
-    """A dense-layer-like conv: (4, 48, 32, 32) input, 12 3x3 filters."""
+def _conv_transient_case(op):
+    """A dense-layer-like conv2d, a (4, 48, 32, 32) input with 12 3x3
+    filters, or a transition-up-like conv_transpose2d, a (4, 48, 16, 16)
+    input with 48 3x3 filters. Returns the op call, its inputs and the bound
+    on its temporaries beyond its own output and gradient arrays."""
     rng = rngmod.stream(37, "conv-transient")
-    x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
-    w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
-    b = Tensor(np.zeros(12), requires_grad=True)
+    if op == "conv2d":
+        x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
+        w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
+        inputs, call = (x, w, Tensor(np.zeros(12), requires_grad=True)), conv2d
+    else:
+        x = Tensor(rng.standard_normal((4, 48, 16, 16)), requires_grad=True)
+        w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)
+        inputs, call = (x, w), conv_transpose2d
     # one sample's 3x3 patch matrix is 9x its input; a batch's would be 36x
-    return x, w, b, 18 * x.data[0].nbytes
+    return lambda: call(*inputs), inputs, 18 * x.data[0].nbytes
 
 
-def test_conv2d_forward_transient_covers_one_sample():
-    x, w, b, bound = _conv_transient_case()
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+def test_conv2d_forward_transient_covers_one_sample(op):
+    run, _, bound = _conv_transient_case(op)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = conv2d(x, w, b)
+        out = run()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert out.shape == (4, 12, 32, 32)
-    assert peak < bound
+    assert peak - out.data.nbytes < bound
 
 
-def test_conv2d_backward_transient_covers_one_sample():
-    x, w, b, bound = _conv_transient_case()
-    r = Tensor(rngmod.stream(38, "conv-transient-r").standard_normal((4, 12, 32, 32)))
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+def test_conv2d_backward_transient_covers_one_sample(op):
+    run, inputs, bound = _conv_transient_case(op)
     with Graph():
-        loss = sum_all(mul(conv2d(x, w, b), r))
+        out = run()
+        loss = sum_all(out)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -239,8 +248,9 @@ def test_conv2d_backward_transient_covers_one_sample():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert x.grad is not None and w.grad is not None
-    assert peak < bound
+    # the sweep allocates the op's output gradient and one gradient per input
+    held = out.data.nbytes + sum(t.grad.nbytes for t in inputs)
+    assert peak - held < bound
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,12 @@ def test_phantom_bad_dims_is_item_failure(tmp_path, capsys):
         assert main(["phantom", "--dims", dims, "--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "dims" in err and dims in err
+    for count in ("0", "-2"):
+        assert main(["phantom", "--count", count, "--out", str(tmp_path / "y")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "count" in captured.err
+        assert count in captured.err and captured.out == ""
+    assert not (tmp_path / "y").exists()
 
 
 # ---------------------------------------------------------------------------

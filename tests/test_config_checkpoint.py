@@ -208,6 +208,12 @@ def test_restore_rejects_divergent_records(tmp_path):
     with pytest.raises(ValueError, match="'stem.w' has shape"):
         restore_into_model(warped)
 
+    stretched = Checkpoint(**{**ckpt.__dict__, "arrays": dict(ckpt.arrays)})
+    buffer = [name for name in stretched.arrays if name.endswith(".running_var")][-1]
+    stretched.arrays[buffer] = np.ones(stretched.arrays[buffer].size + 1)
+    with pytest.raises(ValueError, match=rf"'{buffer}' has shape \(\d+,\), the model expects"):
+        restore_into_model(stretched)
+
 
 def write_with_doc(path, ckpt, edit):
     """Save `ckpt` with its config document passed through `edit`, fixing
