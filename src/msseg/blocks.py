@@ -1,10 +1,11 @@
 """Composite building blocks of the segmentation network.
 
-Each block is a parameter dataclass plus a pure apply function. Parameter
+Each block is a parameter dataclass plus an apply function. Parameter
 construction draws He-uniform kernels from the generator it is handed, so
 build order fixes every initial value. Blocks that contain batchnorm or
 dropout take a ``mode`` ("train" or "eval"); dropout additionally needs a
-generator in train mode.
+generator in train mode. Apply functions are pure except that train-mode
+batchnorm replaces the running statistics held on its ``BatchNormParams``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import (
-    BatchNormStats,
     Tensor,
     avgpool2d,
     batchnorm2d,
@@ -62,16 +62,21 @@ class ConvParams:
 
 @dataclass
 class BatchNormParams:
+    """Trainable scale and shift plus the non-trainable running statistics,
+    which train-mode ``batchnorm2d`` updates and eval mode reads."""
+
     gamma: Tensor
     beta: Tensor
-    stats: BatchNormStats
+    running_mean: Tensor
+    running_var: Tensor
 
     @classmethod
     def create(cls, channels: int) -> "BatchNormParams":
         return cls(
             Tensor(np.ones(channels), requires_grad=True),
             Tensor(np.zeros(channels), requires_grad=True),
-            BatchNormStats.initialized(channels),
+            Tensor(np.zeros(channels)),
+            Tensor(np.ones(channels)),
         )
 
     @property
@@ -103,7 +108,7 @@ class DenseLayerParams:
 
 
 def dense_layer(x: Tensor, p: DenseLayerParams, mode: str, rng=None) -> Tensor:
-    h = batchnorm2d(x, p.bn.gamma, p.bn.beta, p.bn.stats, mode)
+    h = batchnorm2d(x, p.bn.gamma, p.bn.beta, p.bn.running_mean, p.bn.running_var, mode)
     h = relu(h)
     h = conv2d(h, p.conv.w, p.conv.b)
     return dropout2d(h, p.dropout_p, mode, rng)
@@ -191,10 +196,11 @@ class ConvBlockParams:
 
 
 def conv_block(x: Tensor, p: ConvBlockParams, mode: str) -> Tensor:
-    h = conv2d(x, p.conv1.w, p.conv1.b)
-    h = relu(batchnorm2d(h, p.bn1.gamma, p.bn1.beta, p.bn1.stats, mode))
-    h = conv2d(h, p.conv2.w, p.conv2.b)
-    return relu(batchnorm2d(h, p.bn2.gamma, p.bn2.beta, p.bn2.stats, mode))
+    h = x
+    for conv, bn in ((p.conv1, p.bn1), (p.conv2, p.bn2)):
+        h = conv2d(h, conv.w, conv.b)
+        h = relu(batchnorm2d(h, bn.gamma, bn.beta, bn.running_mean, bn.running_var, mode))
+    return h
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .model import ModelConfig
@@ -36,26 +37,10 @@ class TrainConfig:
             raise ValueError(f"eps_dice must be finite and positive, got {self.eps_dice!r}")
 
 
-MODEL_KEYS: dict[str, type] = {
-    "num_scales": int,
-    "layers_per_dense_block": int,
-    "growth_rate": int,
-    "first_conv_filters": int,
-    "convlstm_hidden": int,
-    "dropout_p": float,
-    "use_sa": bool,
-    "use_clstm": bool,
-    "seed": int,
-}
-
-TRAIN_KEYS: dict[str, type] = {
-    "epochs": int,
-    "lr": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "seed": int,
-    "eps_dice": float,
-}
+# The schema is the two dataclasses' fields, in declaration order, which is
+# also the order a checkpoint document lists them in.
+MODEL_KEYS: dict[str, type] = get_type_hints(ModelConfig)
+TRAIN_KEYS: dict[str, type] = get_type_hints(TrainConfig)
 
 # Keys that older config files and checkpoints carry, each with the one value
 # that ever worked: the binary lesion/background head and argmax labelling.
@@ -144,6 +129,11 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
 
 
 def load_config(path: str) -> tuple[ModelConfig, TrainConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    """Parse and validate a config file; every refusal is a ``ConfigError``
+    that names ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_config_text(fh.read())
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 

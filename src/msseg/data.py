@@ -138,11 +138,10 @@ def save_volume(v: Volume, path: str) -> None:
 
 def load_volume(path: str) -> Volume:
     voxels = _read_array(path, VOLUME_MAGIC, "<f4")
-    if not np.all(np.isfinite(voxels)) or np.any(voxels < 0):
-        raise FileFormatError(
-            f"{path}: payload contains non-finite or negative voxels", code="bad-payload"
-        )
-    return Volume(voxels)
+    try:
+        return Volume(voxels)
+    except ValueError as e:
+        raise FileFormatError(f"{path}: {e}", code="bad-payload") from None
 
 
 def save_mask(m: MaskVolume, path: str) -> None:
@@ -152,11 +151,10 @@ def save_mask(m: MaskVolume, path: str) -> None:
 
 def load_mask(path: str) -> MaskVolume:
     labels = _read_array(path, MASK_MAGIC, np.uint8)
-    if np.any(labels > 1):
-        raise FileFormatError(
-            f"{path}: mask payload contains values outside 0/1", code="bad-labels"
-        )
-    return MaskVolume(labels)
+    try:
+        return MaskVolume(labels)
+    except ValueError as e:
+        raise FileFormatError(f"{path}: {e}", code="bad-labels") from None
 
 
 def read_volume_dims(path: str) -> tuple[int, int, int]:

@@ -156,7 +156,7 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     # plain SGD tends to overshoot into a saturated all-background state.
     head.b.data[1] = math.log(FOREGROUND_PRIOR / (1.0 - FOREGROUND_PRIOR))
     params = ModelParams(cfg, stem, encoder, bottleneck, lstm, decoder, head)
-    for name, tensor in named_tensors(params):
+    for name, tensor in _named_arrays(params):
         tensor.name = name
     return params
 
@@ -218,42 +218,39 @@ def named_tensors(params: ModelParams):
 
 
 def named_buffers(params: ModelParams):
-    """BN running statistics: (name, stats object, attribute) triples."""
+    """Every BN running statistic with its unique tree name, in build order."""
     for prefix, site in _sites(params):
         if isinstance(site, BatchNormParams):
-            yield prefix + ".running_mean", site.stats, "mean"
-            yield prefix + ".running_var", site.stats, "var"
+            yield prefix + ".running_mean", site.running_mean
+            yield prefix + ".running_var", site.running_var
+
+
+def _named_arrays(params: ModelParams):
+    """Trainable tensors, then BN buffers: the records of a snapshot."""
+    yield from named_tensors(params)
+    yield from named_buffers(params)
 
 
 def snapshot_arrays(params: ModelParams) -> dict:
     """Copy every trainable tensor and BN buffer, keyed by tree name."""
-    snap = {name: t.data.copy() for name, t in named_tensors(params)}
-    for name, stats, attr in named_buffers(params):
-        snap[name] = getattr(stats, attr).copy()
-    return snap
+    return {name: t.data.copy() for name, t in _named_arrays(params)}
 
 
 def restore_arrays(params: ModelParams, snap: dict) -> None:
     """Load a copy of every trainable tensor and BN buffer from ``snap``,
     which must hold exactly the model's names at the model's shapes."""
     rest = dict(snap)
-
-    def take(name: str, current: np.ndarray) -> np.ndarray:
+    for name, t in _named_arrays(params):
         got = rest.pop(name, None)
         if got is None:
             raise ValueError(f"checkpoint is missing parameter {name!r}")
-        if got.shape != current.shape:
+        if got.shape != t.data.shape:
             raise ValueError(
                 f"checkpoint parameter {name!r} has shape {got.shape}, "
-                f"the model expects {current.shape}"
+                f"the model expects {t.data.shape}"
             )
-        return got.copy()
-
-    for name, t in named_tensors(params):
-        t.data = take(name, t.data)
+        t.data = got.copy()
         t.grad = None
-    for name, stats, attr in named_buffers(params):
-        setattr(stats, attr, take(name, getattr(stats, attr)))
     if rest:
         raise ValueError(f"checkpoint has unexpected record {next(iter(rest))!r}")
 

@@ -123,25 +123,6 @@ class Tensor:
         return mul_scalar(self, -1.0)
 
 
-class BatchNormStats:
-    """Running mean/variance buffers for one batchnorm site.
-
-    Both buffers always exist: ``initialized(c)`` gives the conventional
-    starting point (zero mean, unit variance), and a checkpoint restores
-    saved arrays.
-    """
-
-    __slots__ = ("mean", "var")
-
-    def __init__(self, mean: np.ndarray, var: np.ndarray):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.var = np.asarray(var, dtype=np.float64)
-
-    @classmethod
-    def initialized(cls, channels: int) -> "BatchNormStats":
-        return cls(np.zeros(channels), np.ones(channels))
-
-
 def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     """Wrap op output; record (out, inputs, vjp) if a graph is active.
 
@@ -238,7 +219,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul needs matching shapes, got {a.shape} and {b.shape}")
     ad, bd = a.data, b.data
-    return _emit(ad * bd, (a, b), lambda go: (go * bd, go * ad))
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def vjp(go):
+        return go * bd if need_a else None, go * ad if need_b else None
+
+    return _emit(ad * bd, (a, b), vjp)
 
 
 def mul_scalar(a: Tensor, s: float) -> Tensor:
@@ -502,14 +488,18 @@ BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 
 
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, mode: str) -> Tensor:
+def batchnorm2d(
+    x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor, running_var: Tensor, mode: str
+) -> Tensor:
     """Per-channel batch normalization over (N, H, W), with ``BN_EPS`` added
     to the variance.
 
-    Train mode normalizes with the biased batch statistics and folds them
-    into the running buffers as new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM
-    * batch (the running variance gets the unbiased estimate). Eval mode
-    normalizes with the running buffers and treats them as constants.
+    ``running_mean`` and ``running_var`` are the site's non-trainable (C,)
+    buffers. Train mode normalizes with the biased batch statistics and
+    replaces each buffer's ``data`` with new = (1 - BN_MOMENTUM) * old +
+    BN_MOMENTUM * batch (the running variance gets the unbiased estimate).
+    Eval mode normalizes with the buffers and treats them as constants. In
+    both modes the buffers are not inputs of the recorded node.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d mode must be 'train' or 'eval', got {mode!r}")
@@ -530,11 +520,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, stats: BatchNormStats, m
         centered = x.data - mean[None, :, None, None]
         var = (centered * centered).mean(axis=(0, 2, 3))
         unbiased = var * (m / (m - 1))
-        stats.mean = (1.0 - BN_MOMENTUM) * stats.mean + BN_MOMENTUM * mean
-        stats.var = (1.0 - BN_MOMENTUM) * stats.var + BN_MOMENTUM * unbiased
+        running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
+        running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * unbiased
     else:
-        centered = x.data - stats.mean[None, :, None, None]
-        var = stats.var
+        centered = x.data - running_mean.data[None, :, None, None]
+        var = running_var.data
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # in place: nothing reads the centered values again
     xhat = np.multiply(centered, inv_std[None, :, None, None], out=centered)

@@ -9,7 +9,6 @@ import pytest
 from msseg import rng as rngmod
 from msseg.errors import ShapeError
 from msseg.tensor import (
-    BatchNormStats,
     Graph,
     Tensor,
     _emit,
@@ -253,6 +252,25 @@ def test_conv2d_backward_transient_covers_one_sample(op):
     assert peak - held < bound
 
 
+def test_mul_backward_skips_constant_input():
+    # the output gradient and x's gradient are 2x the array; a product for
+    # the constant r would make it 3x
+    rng = rngmod.stream(36, "mul-const")
+    x = Tensor(rng.standard_normal((16, 64, 64)), requires_grad=True)
+    r = Tensor(rng.standard_normal((16, 64, 64)))
+    with Graph():
+        loss = sum_all(mul(x, r))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * x.data.nbytes
+    np.testing.assert_array_equal(x.grad, r.data)
+
+
 # ---------------------------------------------------------------------------
 # sgd
 
@@ -344,8 +362,8 @@ def test_grad_batchnorm_train():
         beta = _rand(rng, 2)
 
         def make(ts):
-            stats = BatchNormStats.initialized(2)
-            return projection(batchnorm2d(ts[0], ts[1], ts[2], stats, "train"), 300 + case)
+            rmean, rvar = Tensor(np.zeros(2)), Tensor(np.ones(2))
+            return projection(batchnorm2d(ts[0], ts[1], ts[2], rmean, rvar, "train"), 300 + case)
 
         gradcheck(make, [x, gamma, beta])
 
@@ -360,8 +378,8 @@ def test_grad_batchnorm_eval():
         rv = rng.random(2) + 0.5
 
         def make(ts):
-            stats = BatchNormStats(rm.copy(), rv.copy())
-            return projection(batchnorm2d(ts[0], ts[1], ts[2], stats, "eval"), 400 + case)
+            rmean, rvar = Tensor(rm.copy()), Tensor(rv.copy())
+            return projection(batchnorm2d(ts[0], ts[1], ts[2], rmean, rvar, "eval"), 400 + case)
 
         gradcheck(make, [x, gamma, beta])
 
@@ -473,9 +491,9 @@ def test_grad_through_composition():
     beta = _rand(rng, 3)
 
     def make(ts):
-        stats = BatchNormStats.initialized(3)
+        rmean, rvar = Tensor(np.zeros(3)), Tensor(np.ones(3))
         y = conv2d(ts[0], ts[1], ts[2])
-        y = batchnorm2d(y, ts[3], ts[4], stats, "train")
+        y = batchnorm2d(y, ts[3], ts[4], rmean, rvar, "train")
         y = relu(y)
         y = maxpool2d(y)
         y = upsample_nearest(y)

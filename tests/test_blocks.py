@@ -25,7 +25,7 @@ from msseg.blocks import (
     transition_up,
 )
 from msseg.errors import ShapeError
-from msseg.tensor import BatchNormStats, Graph, Tensor, backward, concat_channels, mul, sum_all
+from msseg.tensor import Graph, Tensor, backward, concat_channels, mul, sum_all
 
 import oracles
 from test_autodiff import gradcheck, projection
@@ -40,6 +40,12 @@ def down_params(rng, channels: int) -> DenseLayerParams:
     return DenseLayerParams(
         BatchNormParams.create(channels), ConvParams.create(rng, channels, channels, 1), 0.0
     )
+
+
+def bn_params(gamma: Tensor, beta: Tensor) -> BatchNormParams:
+    """Batchnorm parameters around given gamma/beta with fresh running statistics."""
+    c = gamma.data.shape[0]
+    return BatchNormParams(gamma, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)))
 
 
 def zero_conv(p: ConvParams):
@@ -137,7 +143,7 @@ def test_dense_block_gradcheck():
         lp = DenseBlockParams(
             [
                 DenseLayerParams(
-                    BatchNormParams(ts[1 + 4 * i], ts[2 + 4 * i], BatchNormStats.initialized(2 + 2 * i)),
+                    bn_params(ts[1 + 4 * i], ts[2 + 4 * i]),
                     ConvParams(ts[3 + 4 * i], ts[4 + 4 * i]),
                     0.0,
                 )
@@ -189,7 +195,7 @@ def test_transition_down_gradcheck():
 
     def make(ts):
         tp = DenseLayerParams(
-            BatchNormParams(ts[1], ts[2], BatchNormStats.initialized(2)),
+            bn_params(ts[1], ts[2]),
             ConvParams(ts[3], ts[4]),
             0.0,
         )
@@ -256,9 +262,9 @@ def test_conv_block_gradcheck():
     def make(ts):
         cp = ConvBlockParams(
             ConvParams(ts[1], ts[2]),
-            BatchNormParams(ts[3], ts[4], BatchNormStats.initialized(2)),
+            bn_params(ts[3], ts[4]),
             ConvParams(ts[5], ts[6]),
-            BatchNormParams(ts[7], ts[8], BatchNormStats.initialized(2)),
+            bn_params(ts[7], ts[8]),
         )
         return projection(conv_block(ts[0], cp, "train"), 6666)
 
@@ -333,12 +339,12 @@ def test_sa_block_gradcheck():
     def make(ts):
         sp = SABlockParams(
             ConvBlockParams(
-                ConvParams(ts[1], ts[2]), BatchNormParams(ts[3], ts[4], BatchNormStats.initialized(1)),
-                ConvParams(ts[5], ts[6]), BatchNormParams(ts[7], ts[8], BatchNormStats.initialized(1)),
+                ConvParams(ts[1], ts[2]), bn_params(ts[3], ts[4]),
+                ConvParams(ts[5], ts[6]), bn_params(ts[7], ts[8]),
             ),
             ConvBlockParams(
-                ConvParams(ts[9], ts[10]), BatchNormParams(ts[11], ts[12], BatchNormStats.initialized(1)),
-                ConvParams(ts[13], ts[14]), BatchNormParams(ts[15], ts[16], BatchNormStats.initialized(1)),
+                ConvParams(ts[9], ts[10]), bn_params(ts[11], ts[12]),
+                ConvParams(ts[13], ts[14]), bn_params(ts[15], ts[16]),
             ),
         )
         return projection(sa_block(ts[0], sp, "train"), 7272)
@@ -497,7 +503,7 @@ def test_dense_layer_gradcheck():
 
     def make(ts):
         lp = DenseLayerParams(
-            BatchNormParams(ts[1], ts[2], BatchNormStats.initialized(2)),
+            bn_params(ts[1], ts[2]),
             ConvParams(ts[3], ts[4]),
             0.3,
         )

@@ -182,6 +182,14 @@ def test_train_config_errors_surface(workspace, tmp_path, capsys):
     assert "growht_rate" in err and "line 1" in err
 
 
+def test_config_validator_refusal_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("lr = -1\n")
+    assert main(["param-count", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and "lr must be finite" in err
+
+
 def test_train_missing_manifest(tmp_path, capsys):
     code = main(["train", "--manifest", str(tmp_path / "nope.tsv"), "--fold", "1",
                  "--out", str(tmp_path / "o")])

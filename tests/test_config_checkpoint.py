@@ -1,5 +1,6 @@
 """Config parsing and bit-exact checkpoint round trips."""
 
+import re
 import struct
 import zlib
 
@@ -14,7 +15,7 @@ from msseg.checkpoint import (
     restore_into_model,
     save_checkpoint,
 )
-from msseg.config import TrainConfig, parse_config_text
+from msseg.config import TrainConfig, load_config, parse_config_text
 from msseg.errors import ConfigError, FileFormatError
 from msseg.model import ModelConfig, build_model, forward, named_tensors
 from msseg.tensor import Tensor
@@ -77,6 +78,14 @@ def test_config_validation_propagates():
     for text in ("lr = nan", "lr = inf", "eps_dice = nan", "weight_decay = inf"):
         with pytest.raises(ValueError, match=f"{text.split()[0]} must be finite"):
             parse_config_text(text + "\n")
+
+
+def test_load_config_errors_name_the_file(tmp_path):
+    path = tmp_path / "bad.cfg"
+    for text in ("lr = -1\n", "growht_rate = 4\n", "epochs = soon\n"):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(str(path))
 
 
 def test_retired_keys_accept_only_their_one_value():

@@ -158,11 +158,13 @@ def test_mask_label_and_payload_checks(tmp_path):
     vpath = tmp_path / "v.msvol"
     save_volume(Volume(np.ones((1, 1, 1))), str(vpath))
     raw = bytearray(vpath.read_bytes())
-    raw[19:] = np.array([np.nan], dtype="<f4").tobytes()
-    vpath.write_bytes(bytes(raw))
-    with pytest.raises(FileFormatError) as exc:
-        load_volume(str(vpath))
-    assert exc.value.code == "bad-payload"
+    for bad in (np.nan, -1.0):
+        raw[19:] = np.array([bad], dtype="<f4").tobytes()
+        vpath.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError) as exc:
+            load_volume(str(vpath))
+        assert exc.value.code == "bad-payload"
+        assert str(vpath) in str(exc.value)
 
 
 def test_read_volume_dims_header_only(tmp_path):

@@ -253,7 +253,7 @@ def test_plain_variant_matches_hand_wired_network():
     got = forward(m, x, "eval").data
 
     def bn(tin, bnp):
-        return batchnorm2d(tin, bnp.gamma, bnp.beta, bnp.stats, "eval")
+        return batchnorm2d(tin, bnp.gamma, bnp.beta, bnp.running_mean, bnp.running_var, "eval")
 
     def dense2(tin, blk):
         # two layers unrolled by hand
@@ -367,8 +367,8 @@ def test_snapshot_restore_round_trip():
     # perturb everything, then restore
     for _, t in named_tensors(m):
         t.data += 0.25
-    for _, stats, attr in named_buffers(m):
-        setattr(stats, attr, getattr(stats, attr) + 0.5)
+    for _, b in named_buffers(m):
+        b.data += 0.5
     assert not np.array_equal(forward(m, x, "eval").data, before)
     restore_arrays(m, snap)
     np.testing.assert_array_equal(forward(m, x, "eval").data, before)

@@ -6,7 +6,6 @@ import pytest
 from msseg import rng as rngmod
 from msseg.errors import ShapeError
 from msseg.tensor import (
-    BatchNormStats,
     Graph,
     Tensor,
     avgpool2d,
@@ -155,8 +154,7 @@ def test_conv_adjoint_identity():
 
 def test_batchnorm_constant_channel_is_zero():
     x = t(np.full((2, 1, 3, 3), 7.0))
-    stats = BatchNormStats.initialized(1)
-    out = batchnorm2d(x, t([1.0]), t([0.0]), stats, "train")
+    out = batchnorm2d(x, t([1.0]), t([0.0]), t([0.0]), t([1.0]), "train")
     assert np.max(np.abs(out.data)) < 1e-9
 
 
@@ -165,8 +163,7 @@ def test_batchnorm_standardized_input_passthrough():
     x = rng.standard_normal((4, 2, 5, 5))
     x -= x.mean(axis=(0, 2, 3), keepdims=True)
     x /= x.std(axis=(0, 2, 3), keepdims=True)
-    stats = BatchNormStats.initialized(2)
-    out = batchnorm2d(t(x), t(np.ones(2)), t(np.zeros(2)), stats, "train")
+    out = batchnorm2d(t(x), t(np.ones(2)), t(np.zeros(2)), t(np.zeros(2)), t(np.ones(2)), "train")
     assert oracles.rel_err(out.data, x / np.sqrt(1.0 + 1e-5)) < 1e-9
 
 
@@ -175,8 +172,7 @@ def test_batchnorm_matches_twopass_oracle():
     x = rng.standard_normal((2, 3, 4, 4))
     gamma = rng.standard_normal(3)
     beta = rng.standard_normal(3)
-    stats = BatchNormStats.initialized(3)
-    got = batchnorm2d(t(x), t(gamma), t(beta), stats, "train").data
+    got = batchnorm2d(t(x), t(gamma), t(beta), t(np.zeros(3)), t(np.ones(3)), "train").data
     want = oracles.batchnorm_train_twopass(x, gamma, beta)
     assert oracles.rel_err(got, want) < 1e-12
 
@@ -188,25 +184,25 @@ def test_batchnorm_eval_uses_running_stats():
     beta = rng.standard_normal(3)
     rm = rng.standard_normal(3)
     rv = rng.random(3) + 0.5
-    stats = BatchNormStats(rm.copy(), rv.copy())
-    got = batchnorm2d(t(x), t(gamma), t(beta), stats, "eval").data
+    rmean, rvar = t(rm.copy()), t(rv.copy())
+    got = batchnorm2d(t(x), t(gamma), t(beta), rmean, rvar, "eval").data
     want = oracles.batchnorm_eval_direct(x, gamma, beta, rm, rv)
     assert oracles.rel_err(got, want) < 1e-12
     # eval must not touch the buffers
-    np.testing.assert_array_equal(stats.mean, rm)
-    np.testing.assert_array_equal(stats.var, rv)
+    np.testing.assert_array_equal(rmean.data, rm)
+    np.testing.assert_array_equal(rvar.data, rv)
 
 
 def test_batchnorm_running_update_rule():
     rng = rngmod.stream(18, "bn-run")
     x = rng.standard_normal((2, 1, 3, 3))
-    stats = BatchNormStats.initialized(1)
-    batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), stats, "train")
+    rmean, rvar = t(np.zeros(1)), t(np.ones(1))
+    batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), rmean, rvar, "train")
     m = x.size
     mean = x.mean()
     unbiased = x.var() * m / (m - 1)
-    assert abs(stats.mean[0] - 0.1 * mean) < 1e-12
-    assert abs(stats.var[0] - (0.9 + 0.1 * unbiased)) < 1e-12
+    assert abs(rmean.data[0] - 0.1 * mean) < 1e-12
+    assert abs(rvar.data[0] - (0.9 + 0.1 * unbiased)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +362,14 @@ def test_fixed_seed_bit_identical_op_sequence():
         x = t(rng.standard_normal((2, 3, 8, 8)))
         w = t(rng.standard_normal((4, 3, 3, 3)))
         b = t(rng.standard_normal(4))
-        stats = BatchNormStats.initialized(4)
+        rmean, rvar = t(np.zeros(4)), t(np.ones(4))
         y = conv2d(x, w, b)
-        y = batchnorm2d(y, t(np.ones(4)), t(np.zeros(4)), stats, "train")
+        y = batchnorm2d(y, t(np.ones(4)), t(np.zeros(4)), rmean, rvar, "train")
         y = relu(y)
         y = maxpool2d(y)
         y = dropout2d(y, 0.3, "train", rngmod.stream(99, "det-drop"))
         y = softmax_channels(y)
-        return y.data, stats.mean.copy(), stats.var.copy()
+        return y.data, rmean.data.copy(), rvar.data.copy()
 
     first = run()
     second = run()
