@@ -98,7 +98,11 @@ def _parse_doc(text: str, path: str) -> tuple[ModelConfig, TrainConfig, int, int
     train_over: dict = {}
     cursor = {"epoch": 0, "step": 0, "rng": ""}
     best: float | None = None
+    seen: set[str] = set()
     for lineno, key, raw in parse_kv_text(text):
+        if key in seen:
+            raise ConfigError(f"{path}: checkpoint key {key!r} (line {lineno}) appears twice")
+        seen.add(key)
         group, _, field = key.partition(".")
         if group == "model" and field in MODEL_KEYS:
             model_over[field] = parse_value(raw, MODEL_KEYS[field], key, lineno)

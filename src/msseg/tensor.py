@@ -10,8 +10,10 @@ topological order, and ``backward`` is a single reversed sweep that pops
 each node as it runs it, freeing the node's closure on the way down. With
 no graph active, operations are pure evaluation and keep no references.
 Both convolution ops, ``conv2d`` and ``conv_transpose2d``, work one sample
-at a time through one set of patch-matrix helpers, so their temporaries
-cover one sample, not the batch.
+at a time, so their temporaries cover one sample, not the batch.
+``conv2d``'s forward and weight gradient run as shifted GEMMs over one
+zero-padded canvas per sample and build no patch matrix. Its input gradient
+and ``conv_transpose2d``'s gradients keep the patch-matrix helpers.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
@@ -383,12 +385,72 @@ def _correlate(mat, a, k, pad, stride, ho, wo) -> np.ndarray:
     return res.reshape(n, -1, ho, wo)
 
 
-def _weight_grad(g, a, k, pad, stride) -> np.ndarray:
-    """Sum over samples i of ``g[i] @ _patches(a[i], ...).T``, with each
-    ``g[i]`` read as a (channels, L) matrix."""
+def _weight_grad(g, a, k, stride) -> np.ndarray:
+    """Sum over samples i of ``g[i] @ _patches(a[i], k, 0, stride).T``, with
+    each ``g[i]`` read as a (channels, L) matrix."""
     return sum(
-        g[i].reshape(g.shape[1], -1) @ _patches(a[i], k, pad, stride).T for i in range(len(g))
+        g[i].reshape(g.shape[1], -1) @ _patches(a[i], k, 0, stride).T for i in range(len(g))
     )
+
+
+def _shifted_taps(a: np.ndarray, k: int):
+    """For each (C, H, W) sample of ``a``, yield its k*k "same"-correlation
+    taps, read in place from one flat zero-padded canvas.
+
+    The sample is padded by k // 2 into a (C, (Hp+1)*Wp) canvas; tap (i, j)
+    is the (C, H*Wp) slice at offset i*Wp + j, whose column y*Wp + x lines
+    up with output pixel (y, x). Columns with x >= W are junk. The spare row
+    keeps the last tap in bounds. One canvas is reused across samples: only
+    its interior is rewritten, so its border stays zero.
+    """
+    n, c, h, w = a.shape
+    pad = k // 2
+    wp = w + 2 * pad
+    padded = np.zeros((c, h + 2 * pad + 1, wp))
+    flat = padded.reshape(c, -1)
+    offsets = [i * wp + j for i in range(k) for j in range(k)]
+    for s in range(n):
+        padded[:, pad:pad + h, pad:pad + w] = a[s]
+        yield [flat[:, o:o + h * wp] for o in offsets]
+
+
+def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
+    (F, C, k, k) kernel ``w``: the sum over taps of w[:, :, i, j] @ tap(i, j),
+    accumulated in one (F, H*Wp) buffer whose first W columns of each image
+    row are the output row."""
+    f, c, k, _ = w.shape
+    n, _, h, wd = a.shape
+    wp = wd + 2 * (k // 2)
+    # tap-major (k*k, F, C) copy, so each tap's weights are one BLAS operand
+    wtaps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, f, c)
+    res = np.empty((n, f, h, wd))
+    acc = np.empty((f, h, wp))
+    acc_flat, prod = acc.reshape(f, -1), np.empty((f, h * wp))
+    for s, taps in enumerate(_shifted_taps(a, k)):
+        np.matmul(wtaps[0], taps[0], out=acc_flat)
+        for wt, tap in zip(wtaps[1:], taps[1:]):
+            acc_flat += np.matmul(wt, tap, out=prod)
+        res[s] = acc[:, :, :wd]
+    return res
+
+
+def _shifted_weight_grad(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
+    """Gradient of ``_shifted_correlate(w, a)`` with respect to its (F, C,
+    k, k) kernel, given the output gradient ``g`` (N, F, H, W): for each tap,
+    the sum over samples of g_ext @ tap(i, j).T, where g_ext is the sample's
+    gradient widened to Wp columns by zeros in the junk columns."""
+    _, f, h, wd = g.shape
+    c = a.shape[1]
+    gtaps = np.zeros((k * k, f, c))
+    prod = np.empty((f, c))
+    g_ext = np.zeros((f, h, wd + 2 * (k // 2)))
+    g_flat = g_ext.reshape(f, -1)
+    for s, taps in enumerate(_shifted_taps(a, k)):
+        g_ext[:, :, :wd] = g[s]
+        for t, tap in enumerate(taps):
+            gtaps[t] += np.matmul(g_flat, tap.T, out=prod)
+    return np.ascontiguousarray(gtaps.reshape(k, k, f, c).transpose(2, 3, 0, 1))
 
 
 def _square_kernel(x: Tensor, w: Tensor, op: str, channel_axis: int) -> int:
@@ -411,9 +473,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
 
-    All three products run one sample at a time on that sample's patch
-    matrix. The input gradient is the "same" correlation of the output
-    gradient with the kernel rotated 180 degrees and its channel axes swapped.
+    All three products run one sample at a time. The forward and the weight
+    gradient are shifted GEMMs over one zero-padded canvas per sample
+    (``_shifted_taps``), so no patch matrix of the input is built. The input
+    gradient is the "same" correlation of the output gradient with the
+    kernel rotated 180 degrees and its channel axes swapped. It runs on the
+    output gradient's patch matrix, which has only F*k*k rows.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
@@ -423,20 +488,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
     pad = k // 2
-    xd = x.data
-    wmat = w.data.reshape(f, -1)
-    out = _correlate(wmat, xd, k, pad, 1, h, wd)
+    xd, wdata = x.data, w.data
+    out = _shifted_correlate(wdata, xd)
     out += b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
-    wshape = w.data.shape
 
     def vjp(go):
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
-        gw = _weight_grad(go, xd, k, pad, 1).reshape(wshape) if need_w else None
+        gw = _shifted_weight_grad(go, xd, k) if need_w else None
         gx = None
         if need_x:
-            wt = wmat.reshape(wshape)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+            wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
             gx = _correlate(wt, go, k, pad, 1, h, wd)
         return gx, gw, gb
 
@@ -474,7 +537,7 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
 
     def vjp(go):
         gx = _correlate(wmat, go, k, 0, 2, h, wd) if need_x else None
-        gw = _weight_grad(xd, go, k, 0, 2).reshape(wshape) if need_w else None
+        gw = _weight_grad(xd, go, k, 2).reshape(wshape) if need_w else None
         return gx, gw
 
     return _emit(out, (x, w), vjp)

@@ -164,23 +164,25 @@ def test_conv2d_keeps_no_patch_matrix_for_backward():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_weight_grad_matches_loop_oracle(n, k):
     rng = rngmod.stream(35, f"conv-wgrad-{n}-{k}")
-    x = rng.standard_normal((n, 2, 5, 4))
-    r = rng.standard_normal((n, 3, 5, 4))
-    w = Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)
-    zero_bias = np.zeros(3)
-    with Graph():
-        loss = sum_all(mul(conv2d(Tensor(x), w, Tensor(zero_bias)), Tensor(r)))
-    backward(loss)
-    # the loss is linear in w: each weight's gradient is the loss at that unit weight
-    want = np.zeros(w.shape)
-    for idx in np.ndindex(*w.shape):
-        unit = np.zeros(w.shape)
-        unit[idx] = 1.0
-        want[idx] = np.sum(oracles.conv2d_loops(x, unit, zero_bias, pad=k // 2) * r)
-    np.testing.assert_allclose(w.grad, want, rtol=0.0, atol=1e-12)
+    # 5x4 is non-square; at 2x2 a k > 2 kernel has taps wholly in the padding
+    for h, wd in ((5, 4), (2, 2)):
+        x = rng.standard_normal((n, 2, h, wd))
+        r = rng.standard_normal((n, 3, h, wd))
+        w = Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)
+        zero_bias = np.zeros(3)
+        with Graph():
+            loss = sum_all(mul(conv2d(Tensor(x), w, Tensor(zero_bias)), Tensor(r)))
+        backward(loss)
+        # the loss is linear in w: each weight's gradient is the loss at that unit weight
+        want = np.zeros(w.shape)
+        for idx in np.ndindex(*w.shape):
+            unit = np.zeros(w.shape)
+            unit[idx] = 1.0
+            want[idx] = np.sum(oracles.conv2d_loops(x, unit, zero_bias, pad=k // 2) * r)
+        np.testing.assert_allclose(w.grad, want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -207,18 +209,24 @@ def _conv_transient_case(op):
     """A dense-layer-like conv2d, a (4, 48, 32, 32) input with 12 3x3
     filters, or a transition-up-like conv_transpose2d, a (4, 48, 16, 16)
     input with 48 3x3 filters. Returns the op call, its inputs and the bound
-    on its temporaries beyond its own output and gradient arrays."""
+    on its temporaries beyond its own output and gradient arrays, in single
+    sample inputs."""
     rng = rngmod.stream(37, "conv-transient")
     if op == "conv2d":
         x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
         w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w, Tensor(np.zeros(12), requires_grad=True)), conv2d
+        # one sample's padded canvas is about 1.2x its input, where its 3x3
+        # patch matrix would be 9x; the input gradient's patch matrix is
+        # built from the 12-channel output gradient
+        bound = 4
     else:
         x = Tensor(rng.standard_normal((4, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w), conv_transpose2d
-    # one sample's 3x3 patch matrix is 9x its input; a batch's would be 36x
-    return lambda: call(*inputs), inputs, 18 * x.data[0].nbytes
+        # one sample's 3x3 patch matrix is 9x its input; a batch's would be 36x
+        bound = 18
+    return lambda: call(*inputs), inputs, bound * x.data[0].nbytes
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])

@@ -10,6 +10,7 @@ import pytest
 from msseg import rng as rngmod
 from msseg.checkpoint import (
     Checkpoint,
+    _doc_text,
     checkpoint_from_model,
     load_checkpoint,
     restore_into_model,
@@ -241,6 +242,19 @@ def test_checkpoint_rejects_unknown_doc_key(tmp_path):
     write_with_doc(path, ckpt, lambda doc: doc + "model.bogus = 1\n")
     with pytest.raises(ConfigError, match="model.bogus"):
         load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_repeated_doc_key(tmp_path):
+    _, ckpt = make_checkpoint()
+    path = tmp_path / "twice.msckpt"
+    lineno = len(_doc_text(ckpt).splitlines()) + 1
+    for line in ("model.num_scales = 2", "cursor.epoch = 4"):
+        # the repeat comes last, so a silent last-wins parse would keep it
+        write_with_doc(path, ckpt, lambda doc: doc + line + "\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=rf"'{key}' \(line {lineno}\) appears twice") as err:
+            load_checkpoint(str(path))
+        assert str(err.value).startswith(f"{path}: ")
 
 
 def test_checkpoint_with_retired_keys_loads_bit_identically(tmp_path):

@@ -90,6 +90,21 @@ def test_conv2d_matches_loop_oracle_many_shapes():
         assert oracles.rel_err(got, want) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_shifted_taps_match_loop_oracle(n, k):
+    # at 1x1 and 2x2 (the ConvLSTM and bottleneck scale) a k > H kernel has
+    # taps wholly in the padding; 5x4 is non-square; C = 1 is the stem
+    rng = rngmod.stream(13, f"conv-taps-{n}-{k}")
+    for c, f, h, w_ in ((2, 3, 1, 1), (2, 3, 2, 2), (2, 3, 5, 4), (1, 4, 5, 4)):
+        x = rng.standard_normal((n, c, h, w_))
+        wt = rng.standard_normal((f, c, k, k))
+        b = rng.standard_normal(f)
+        got = conv2d(t(x), t(wt), t(b)).data
+        want = oracles.conv2d_loops(x, wt, b, stride=1, pad=k // 2)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # conv_transpose2d
 
