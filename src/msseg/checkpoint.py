@@ -2,13 +2,21 @@
 
 Layout: magic, version byte, a u32-length-prefixed `key = value` document
 (configs, training cursor, rng state, best validation Dice), then one record
-per parameter or batchnorm buffer (u16 name length, name, u8 rank, u32 dims,
-float64 little-endian payload), and a trailing CRC32 over everything before
-it.  Records are walked until exactly four bytes remain.
+per parameter or batchnorm buffer (u16 name length, UTF-8 name, u8 rank, u32
+dims, float64 little-endian payload), and a trailing CRC32 over everything
+before it.  Records are walked until exactly four bytes remain.
+
+The document follows a config file's key rules (``config.read_keys``), with
+model and training keys under ``model.`` and ``train.``; every refusal is a
+``ConfigError`` naming the file.  Damaged bytes raise ``FileFormatError``:
+"truncated", "bad-magic", "bad-version", "bad-crc", "bad-utf8" for a document
+or record name that is not UTF-8, and "duplicate-record" for a name stored
+twice.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -20,10 +28,9 @@ from .config import (
     RETIRED_KEYS,
     TRAIN_KEYS,
     TrainConfig,
-    check_retired,
+    build_configs,
     format_value,
-    parse_kv_text,
-    parse_value,
+    read_keys,
 )
 from .data import atomic_write_bytes
 from .errors import ConfigError, FileFormatError
@@ -77,55 +84,29 @@ def restore_into_model(ckpt: Checkpoint) -> ModelParams:
 
 
 def _doc_text(ckpt: Checkpoint) -> str:
-    lines = [
-        f"model.{key} = {format_value(getattr(ckpt.model_cfg, key))}"
-        for key in MODEL_KEYS
-    ]
-    lines += [
-        f"train.{key} = {format_value(getattr(ckpt.train_cfg, key))}"
-        for key in TRAIN_KEYS
-    ]
-    lines.append(f"cursor.epoch = {ckpt.epoch}")
-    lines.append(f"cursor.step = {ckpt.step}")
-    lines.append(f"cursor.rng = {ckpt.rng_state}")
-    best = "none" if ckpt.best_val_dice is None else repr(float(ckpt.best_val_dice))
-    lines.append(f"best.val_dice = {best}")
-    return "\n".join(lines) + "\n"
+    values = {f"model.{k}": getattr(ckpt.model_cfg, k) for k in MODEL_KEYS}
+    values.update({f"train.{k}": getattr(ckpt.train_cfg, k) for k in TRAIN_KEYS})
+    values.update({
+        "cursor.epoch": ckpt.epoch,
+        "cursor.step": ckpt.step,
+        "cursor.rng": ckpt.rng_state,
+        "best.val_dice": ckpt.best_val_dice,
+    })
+    return "".join(f"{k} = {format_value(v)}\n" for k, v in values.items())
 
 
-def _parse_doc(text: str, path: str) -> tuple[ModelConfig, TrainConfig, int, int, str, float | None]:
-    model_over: dict = {}
-    train_over: dict = {}
-    cursor = {"epoch": 0, "step": 0, "rng": ""}
-    best: float | None = None
-    seen: set[str] = set()
-    for lineno, key, raw in parse_kv_text(text):
-        if key in seen:
-            raise ConfigError(f"{path}: checkpoint key {key!r} (line {lineno}) appears twice")
-        seen.add(key)
-        group, _, field = key.partition(".")
-        if group == "model" and field in MODEL_KEYS:
-            model_over[field] = parse_value(raw, MODEL_KEYS[field], key, lineno)
-        elif group == "train" and field in TRAIN_KEYS:
-            train_over[field] = parse_value(raw, TRAIN_KEYS[field], key, lineno)
-        elif group in ("model", "train") and field in RETIRED_KEYS:
-            check_retired(field, raw, key, lineno)
-        elif group == "cursor" and field in ("epoch", "step"):
-            cursor[field] = parse_value(raw, int, key, lineno)
-        elif group == "cursor" and field == "rng":
-            cursor["rng"] = raw
-        elif key == "best.val_dice":
-            best = None if raw == "none" else parse_value(raw, float, key, lineno)
-        else:
-            raise ConfigError(f"{path}: unknown checkpoint key {key!r} (line {lineno})")
-    mcfg = ModelConfig(**model_over)
-    tcfg = TrainConfig(**train_over)
-    try:
-        mcfg.validate()
-        tcfg.validate()
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
-    return mcfg, tcfg, cursor["epoch"], cursor["step"], cursor["rng"], best
+# What `_doc_text` writes, as `config.read_keys` reads it back.
+_DOC_KEYS: dict[str, type] = {
+    **{f"model.{k}": t for k, t in MODEL_KEYS.items()},
+    **{f"train.{k}": t for k, t in TRAIN_KEYS.items()},
+    "cursor.epoch": int,
+    "cursor.step": int,
+    "cursor.rng": str,
+    "best.val_dice": float | None,
+}
+_DOC_RETIRED: dict[str, object] = {
+    f"{group}.{k}": v for group in ("model", "train") for k, v in RETIRED_KEYS.items()
+}
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
@@ -147,8 +128,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
         raw = fh.read()
-    head = len(MAGIC) + 1 + _U32.size
-    if len(raw) < head + _U32.size:
+    if len(raw) < len(MAGIC) + 1 + 2 * _U32.size:
         raise FileFormatError(f"{path}: file shorter than the header", code="truncated")
     if raw[: len(MAGIC)] != MAGIC:
         raise FileFormatError(f"{path}: bad magic {raw[:len(MAGIC)]!r}", code="bad-magic")
@@ -158,46 +138,49 @@ def load_checkpoint(path: str) -> Checkpoint:
             f"{path}: unsupported version {version}, expected {VERSION}",
             code="bad-version",
         )
-    stored_crc = _U32.unpack_from(raw, len(raw) - _U32.size)[0]
-    if zlib.crc32(raw[: -_U32.size]) != stored_crc:
+    body = memoryview(raw)[: -_U32.size]
+    if zlib.crc32(body) != _U32.unpack_from(raw, len(body))[0]:
         raise FileFormatError(f"{path}: CRC mismatch", code="bad-crc")
 
-    (doc_len,) = _U32.unpack_from(raw, len(MAGIC) + 1)
-    pos = head
-    end = len(raw) - _U32.size
-    if pos + doc_len > end:
-        raise FileFormatError(f"{path}: config document truncated", code="truncated")
-    doc = raw[pos : pos + doc_len].decode("utf-8")
-    pos += doc_len
+    pos = len(MAGIC) + 1
 
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if pos + n > len(body):
+            raise FileFormatError(f"{path}: {what} truncated", code="truncated")
+        pos += n
+        return body[pos - n : pos]
+
+    def text(n: int, what: str) -> str:
+        try:
+            return str(take(n, what), "utf-8")
+        except UnicodeDecodeError:
+            raise FileFormatError(f"{path}: {what} is not UTF-8", code="bad-utf8") from None
+
+    doc = text(_U32.unpack(take(_U32.size, "header"))[0], "config document")
     arrays: dict[str, np.ndarray] = {}
-    while pos < end:
-        if pos + _U16.size > end:
-            raise FileFormatError(f"{path}: record header truncated", code="truncated")
-        (name_len,) = _U16.unpack_from(raw, pos)
-        pos += _U16.size
-        if pos + name_len + _U8.size > end:
-            raise FileFormatError(f"{path}: record name truncated", code="truncated")
-        name = raw[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        rank = raw[pos]
-        pos += 1
-        if pos + rank * _U32.size > end:
-            raise FileFormatError(f"{path}: record dims truncated", code="truncated")
-        dims = struct.unpack_from(f"<{rank}I", raw, pos) if rank else ()
-        pos += rank * _U32.size
-        count = 1
-        for d in dims:
-            count *= d
-        nbytes = 8 * count
-        if pos + nbytes > end:
+    while pos < len(body):
+        name = text(_U16.unpack(take(_U16.size, "record header"))[0], "record name")
+        if name in arrays:
             raise FileFormatError(
-                f"{path}: record {name!r} payload truncated", code="truncated"
+                f"{path}: record {name!r} is stored twice", code="duplicate-record"
             )
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(dims).copy()
-        pos += nbytes
-    if pos != end:
-        raise FileFormatError(f"{path}: trailing bytes after records", code="size-mismatch")
+        (rank,) = take(1, f"record {name!r} rank")
+        dims = struct.unpack(f"<{rank}I", take(rank * _U32.size, f"record {name!r} dims"))
+        payload = take(8 * math.prod(dims), f"record {name!r} payload")
+        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
 
-    mcfg, tcfg, epoch, step, rng_state, best = _parse_doc(doc, path)
-    return Checkpoint(mcfg, tcfg, epoch, step, rng_state, best, arrays)
+    try:
+        values = read_keys(doc, _DOC_KEYS, _DOC_RETIRED)
+        mcfg, tcfg = build_configs(values, "model.", "train.")
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    return Checkpoint(
+        mcfg,
+        tcfg,
+        epoch=values.get("cursor.epoch", 0),
+        step=values.get("cursor.step", 0),
+        rng_state=values.get("cursor.rng", ""),
+        best_val_dice=values.get("best.val_dice"),
+        arrays=arrays,
+    )

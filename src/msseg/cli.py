@@ -234,6 +234,8 @@ def cmd_ablate(args) -> int:
         return _fail(f"--folds must be comma-separated integers, got {args.folds!r}")
     if not fold_ids:
         return _fail("--folds named no folds")
+    if len(set(fold_ids)) < len(fold_ids):
+        return _fail(f"--folds names a fold more than once, got {args.folds!r}")
     entries = dio.parse_manifest(args.manifest)
     folds = _folds(entries, args.manifest)
     chosen = [_pick_fold(folds, fid) for fid in fold_ids]

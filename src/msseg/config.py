@@ -55,77 +55,77 @@ def format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
-    return str(v)
+        return repr(float(v))
+    return "none" if v is None else str(v)
 
 
-def parse_value(raw: str, typ: type, key: str, lineno: int | None = None):
-    where = f" (line {lineno})" if lineno is not None else ""
+def parse_value(raw: str, typ):
+    """``raw`` as a ``typ``: bool, int, float, str, or ``float | None``
+    (written ``none``)."""
+    if typ == float | None:
+        return None if raw == "none" else parse_value(raw, float)
     if typ is bool:
-        if raw == "true":
-            return True
-        if raw == "false":
-            return False
-        raise ConfigError(f"config key {key!r}{where}: expected true or false, got {raw!r}")
+        if raw in ("true", "false"):
+            return raw == "true"
+        raise ValueError(f"expected true or false, got {raw!r}")
     if typ is str:
         return raw
     try:
         return typ(raw)
     except ValueError:
-        raise ConfigError(
-            f"config key {key!r}{where}: expected {typ.__name__}, got {raw!r}"
-        ) from None
+        raise ValueError(f"expected {typ.__name__}, got {raw!r}") from None
 
 
-def check_retired(field: str, raw: str, key: str, lineno: int) -> None:
-    """Refuse retired key `field` (shown as `key`) unless it holds its one value."""
-    legal = RETIRED_KEYS[field]
-    if parse_value(raw, type(legal), key, lineno) != legal:
-        raise ConfigError(
-            f"config key {key!r} (line {lineno}) is retired; only "
-            f"{format_value(legal)!r} is accepted, got {raw!r}"
-        )
+def read_keys(text: str, keys: dict[str, type], retired: dict[str, object]) -> dict:
+    """Parse ``key = value`` lines (blank lines and ``#`` comments skipped)
+    into a dict of typed values.
 
-
-def parse_kv_text(text: str) -> list[tuple[int, str, str]]:
-    """Split `key = value` lines, skipping blanks and # comments."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    Each key must be in ``keys`` (its type) or ``retired`` (its one legal
+    value, which is checked and then kept like any other value) and may
+    appear once.  Every refusal is a ``ConfigError`` naming the key and line.
+    """
+    values: dict = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip()[:1] in ("", "#"):
             continue
-        key, sep, value = line.partition("=")
-        if not sep or not key.strip():
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        out.append((lineno, key.strip(), value.strip()))
-    return out
+        key, sep, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if not sep or not key:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        where = f"key {key!r} (line {lineno})"
+        if key in values:
+            raise ConfigError(f"{where} appears twice")
+        if key not in keys and key not in retired:
+            raise ConfigError(f"unknown {where}")
+        try:
+            values[key] = parse_value(raw, keys[key] if key in keys else type(retired[key]))
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
+        if key in retired and values[key] != retired[key]:
+            raise ConfigError(
+                f"{where} is retired; only {format_value(retired[key])!r} is accepted, "
+                f"got {raw!r}"
+            )
+    return values
 
 
-def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
-    model_over: dict = {}
-    train_over: dict = {}
-    seen: set[str] = set()
-    for lineno, key, raw in parse_kv_text(text):
-        if key in seen:
-            raise ConfigError(f"config key {key!r} (line {lineno}) appears twice")
-        seen.add(key)
-        if key in RETIRED_KEYS:
-            check_retired(key, raw, key, lineno)
-            continue
-        known = False
-        if key in MODEL_KEYS:
-            model_over[key] = parse_value(raw, MODEL_KEYS[key], key, lineno)
-            known = True
-        if key in TRAIN_KEYS:
-            train_over[key] = parse_value(raw, TRAIN_KEYS[key], key, lineno)
-            known = True
-        if not known:
-            raise ConfigError(f"unknown config key {key!r} (line {lineno})")
-    mcfg = ModelConfig(**model_over)
-    tcfg = TrainConfig(**train_over)
+def build_configs(
+    values: dict, model_prefix: str, train_prefix: str
+) -> tuple[ModelConfig, TrainConfig]:
+    """Make and validate both configs from ``values`` read under the given
+    key prefixes; absent keys keep their defaults."""
+    def fields(keys: dict, prefix: str) -> dict:
+        return {k: values[prefix + k] for k in keys if prefix + k in values}
+
+    mcfg = ModelConfig(**fields(MODEL_KEYS, model_prefix))
+    tcfg = TrainConfig(**fields(TRAIN_KEYS, train_prefix))
     mcfg.validate()
     tcfg.validate()
     return mcfg, tcfg
+
+
+def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
+    return build_configs(read_keys(text, {**MODEL_KEYS, **TRAIN_KEYS}, RETIRED_KEYS), "", "")
 
 
 def load_config(path: str) -> tuple[ModelConfig, TrainConfig]:
@@ -136,4 +136,3 @@ def load_config(path: str) -> tuple[ModelConfig, TrainConfig]:
             return parse_config_text(fh.read())
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-

@@ -9,9 +9,10 @@ class FileFormatError(ValueError):
     """Raised for malformed volume, mask, or checkpoint files.
 
     ``code`` is a short machine-readable tag ("bad-magic", "bad-version",
-    "truncated", "size-mismatch", "dim-overflow", "bad-labels", "bad-crc", ...)
-    so callers and tests can tell failure modes apart without string matching
-    on the human-readable message.
+    "truncated", "size-mismatch", "dim-overflow", "bad-dims", "bad-payload",
+    "bad-labels", "bad-crc", "bad-utf8", "duplicate-record") so callers and
+    tests can tell failure modes apart without string matching on the
+    human-readable message.
     """
 
     def __init__(self, message: str, code: str):

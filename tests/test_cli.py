@@ -287,6 +287,15 @@ def test_ablate_rejects_bad_folds(workspace, tmp_path, capsys):
     assert "--folds" in capsys.readouterr().err
 
 
+def test_ablate_refuses_repeated_fold_before_training(workspace, tmp_path, capsys):
+    out = tmp_path / "twice"
+    code = main(["ablate", "--manifest", str(workspace["proc"] / "manifest.tsv"),
+                 "--folds", "1,1", "--config", str(workspace["cfg"]), "--out", str(out)])
+    assert code == 1
+    assert "--folds names a fold more than once, got '1,1'" in capsys.readouterr().err
+    assert not (out / "ablation.tsv").exists()
+
+
 def test_param_count_default_prints_calibrated_total(capsys):
     assert main(["param-count"]) == 0
     out = capsys.readouterr().out

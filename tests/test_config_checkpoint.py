@@ -225,15 +225,81 @@ def test_restore_rejects_divergent_records(tmp_path):
         restore_into_model(stretched)
 
 
+def seal(path, body):
+    """Write `body` followed by its CRC32, as a checkpoint ends."""
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
 def write_with_doc(path, ckpt, edit):
     """Save `ckpt` with its config document passed through `edit`, fixing
-    the length prefix and the CRC."""
+    the length prefix and the CRC.  A surrogate escape such as "\\udcff" in
+    the edited text becomes that raw byte."""
     save_checkpoint(ckpt, str(path))
     raw = path.read_bytes()
     (doc_len,) = struct.unpack_from("<I", raw, 8)
-    doc = edit(raw[12 : 12 + doc_len].decode("utf-8")).encode("utf-8")
-    body = raw[:8] + struct.pack("<I", len(doc)) + doc + raw[12 + doc_len : -4]
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    doc = edit(raw[12 : 12 + doc_len].decode("utf-8")).encode("utf-8", "surrogateescape")
+    seal(path, raw[:8] + struct.pack("<I", len(doc)) + doc + raw[12 + doc_len : -4])
+
+
+def record_bytes(name: bytes, arr) -> bytes:
+    """One checkpoint record: u16 name length, name, u8 rank, u32 dims, payload."""
+    return (
+        struct.pack("<H", len(name))
+        + name
+        + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        + np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    )
+
+
+def test_checkpoint_refuses_repeated_record(tmp_path):
+    _, ckpt = make_checkpoint()
+    path = tmp_path / "dup.msckpt"
+    save_checkpoint(ckpt, str(path))
+    # a CRC-valid file whose last record repeats a name with other values,
+    # so a silent last-wins load would change the head bias
+    seal(path, path.read_bytes()[:-4] + record_bytes(b"head.b", np.full(2, 7.0)))
+    with pytest.raises(FileFormatError, match="'head.b'") as err:
+        load_checkpoint(str(path))
+    assert err.value.code == "duplicate-record"
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_checkpoint_refuses_non_utf8_text(tmp_path):
+    _, ckpt = make_checkpoint()
+    path = tmp_path / "bytes.msckpt"
+    write_with_doc(path, ckpt, lambda doc: doc.replace("cursor.rng = ", "cursor.rng = \udcff"))
+    with pytest.raises(FileFormatError, match="config document is not UTF-8") as err:
+        load_checkpoint(str(path))
+    assert (err.value.code, str(err.value).split(": ")[0]) == ("bad-utf8", str(path))
+
+    save_checkpoint(ckpt, str(path))
+    seal(path, path.read_bytes()[:-4] + record_bytes(b"head.\xff", np.zeros(2)))
+    with pytest.raises(FileFormatError, match="record name is not UTF-8") as err:
+        load_checkpoint(str(path))
+    assert (err.value.code, str(err.value).split(": ")[0]) == ("bad-utf8", str(path))
+
+
+def test_checkpoint_truncation_names_what_ran_short(tmp_path):
+    _, ckpt = make_checkpoint()
+    path = tmp_path / "short.msckpt"
+    save_checkpoint(ckpt, str(path))
+    body = path.read_bytes()[:-4]
+    name, arr = list(ckpt.arrays.items())[-1]
+    start = len(body) - len(record_bytes(name.encode(), arr))
+    after_name = start + 2 + len(name)
+    cuts = {
+        12 + 5: "config document truncated",
+        start + 1: "record header truncated",
+        start + 3: "record name truncated",
+        after_name: f"record '{name}' rank truncated",
+        after_name + 2: f"record '{name}' dims truncated",
+        len(body) - 1: f"record '{name}' payload truncated",
+    }
+    for cut, what in cuts.items():
+        seal(path, body[:cut])
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {what}")) as err:
+            load_checkpoint(str(path))
+        assert err.value.code == "truncated"
 
 
 def test_checkpoint_rejects_unknown_doc_key(tmp_path):
@@ -279,7 +345,12 @@ def test_checkpoint_with_retired_keys_loads_bit_identically(tmp_path):
 def test_checkpoint_doc_is_validated(tmp_path):
     _, ckpt = make_checkpoint()
     path = tmp_path / "v.msckpt"
-    for key, bad in (("train.lr", "nan"), ("model.num_scales", "0")):
+    for key, bad in (
+        ("train.lr", "nan"),
+        ("model.num_scales", "0"),
+        ("cursor.epoch", "soon"),
+        ("best.val_dice", "high"),
+    ):
         write_with_doc(path, ckpt, lambda doc: "\n".join(
             f"{key} = {bad}" if line.startswith(key + " ") else line
             for line in doc.splitlines()
@@ -287,3 +358,43 @@ def test_checkpoint_doc_is_validated(tmp_path):
         with pytest.raises(ConfigError, match=key.split(".")[1]) as err:
             load_checkpoint(str(path))
         assert str(err.value).startswith(f"{path}: ")
+
+
+# Refusal lines as a config file writes them, each with the prefix that a
+# checkpoint document puts on its key.  Both files end in "epochs = 2" and
+# then the line; the checkpoint document first drops its own lines for those
+# two keys.  Every refusal the reader makes names the file, the key and the
+# line; a validation refusal names the file and the field, as no one line is
+# at fault.
+REFUSAL_LINES = [
+    ("epochs = 3", "train.", "appears twice"),
+    ("growht_rate = 4", "model.", "unknown key"),
+    ("growth_rate = x", "model.", "expected int, got 'x'"),
+    ("use_sa = yes", "model.", "expected true or false, got 'yes'"),
+    ("num_classes = 3", "model.", "is retired; only '2' is accepted, got '3'"),
+    ("lr = nan", "train.", "lr must be finite"),
+]
+
+
+@pytest.mark.parametrize("line, prefix, says", REFUSAL_LINES)
+def test_config_and_checkpoint_refuse_alike(tmp_path, line, prefix, says):
+    key = line.split()[0]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("epochs = 2\n" + line + "\n")
+    _, ckpt = make_checkpoint()
+    kept = [
+        old for old in _doc_text(ckpt).splitlines()
+        if old.split()[0] not in ("train.epochs", prefix + key)
+    ]
+    ck = tmp_path / "bad.msckpt"
+    write_with_doc(ck, ckpt, lambda doc: "\n".join(kept + ["train.epochs = 2", prefix + line]))
+    for path, load, shown, lineno in (
+        (cfg, load_config, key, 2),
+        (ck, load_checkpoint, prefix + key, len(kept) + 2),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(says)) as err:
+            load(str(path))
+        msg = str(err.value)
+        assert msg.startswith(f"{path}: "), msg
+        if not says.startswith("lr "):
+            assert f"key {shown!r} (line {lineno})" in msg, msg
