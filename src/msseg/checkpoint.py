@@ -110,19 +110,19 @@ _DOC_RETIRED: dict[str, object] = {
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
+    """Write ``ckpt`` in the layout above. Each array's buffer is written
+    as it is, not copied, so the save holds no second copy of the payload."""
     doc = _doc_text(ckpt).encode("utf-8")
-    parts = [MAGIC, _U8.pack(VERSION), _U32.pack(len(doc)), doc]
+    chunks: list[bytes | np.ndarray] = [MAGIC, _U8.pack(VERSION), _U32.pack(len(doc)), doc]
     for name, arr in ckpt.arrays.items():
         payload = np.ascontiguousarray(arr, dtype="<f8")
         encoded = name.encode("utf-8")
-        parts.append(_U16.pack(len(encoded)))
-        parts.append(encoded)
-        parts.append(_U8.pack(payload.ndim))
-        for d in payload.shape:
-            parts.append(_U32.pack(d))
-        parts.append(payload.tobytes())
-    body = b"".join(parts)
-    atomic_write_bytes(path, body + _U32.pack(zlib.crc32(body)))
+        dims = struct.pack(f"<B{payload.ndim}I", payload.ndim, *payload.shape)
+        chunks += [_U16.pack(len(encoded)) + encoded + dims, payload]
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    atomic_write_bytes(path, *chunks, _U32.pack(crc))
 
 
 def load_checkpoint(path: str) -> Checkpoint:

@@ -28,12 +28,16 @@ LESION_BAND = (0.8, 1.0)
 BRAIN_FLOOR = 0.2
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def atomic_write_bytes(path: str, *chunks) -> None:
+    """Write ``chunks`` (bytes or C-contiguous arrays, each written as its
+    raw buffer) in order via a temp file in the same directory, then rename
+    into place. Passing large buffers as their own chunks keeps the file's
+    bytes from ever being joined in memory."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except OSError:
         try:

@@ -14,6 +14,10 @@ at a time, so their temporaries cover one sample, not the batch.
 ``conv2d``'s forward and weight gradient run as shifted GEMMs over one
 zero-padded canvas per sample and build no patch matrix. Its input gradient
 and ``conv_transpose2d``'s gradients keep the patch-matrix helpers.
+Batchnorm and ReLU make the fewest passes over memory they can: eval-mode
+``batchnorm2d`` is one per-channel scale and shift into its one output,
+its train-mode vjp is built from its own ``gamma`` and ``beta`` gradients,
+and ``relu`` is one ``np.fmax`` pass.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
@@ -252,8 +256,11 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    keep = x.data > 0.0
-    return _emit(np.where(keep, x.data, 0.0), (x,), lambda go: (go * keep,))
+    """max(x, 0) in one ``np.fmax`` pass; NaN, -0.0 and every x <= 0 give
+    +0.0. The vjp masks with ``out > 0``, which holds exactly where x > 0,
+    so it keeps no mask beside the output."""
+    out = np.fmax(x.data, 0.0)
+    return _emit(out, (x,), lambda go: (go * (out > 0.0),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -563,6 +570,13 @@ def batchnorm2d(
     BN_MOMENTUM * batch (the running variance gets the unbiased estimate).
     Eval mode normalizes with the buffers and treats them as constants. In
     both modes the buffers are not inputs of the recorded node.
+
+    Eval mode is one per-channel affine map, (x - mean) * (gamma * inv_std)
+    + beta, computed in its one output array; its vjp rebuilds xhat from x
+    only when a graph runs it. Train mode turns the centred copy of x into
+    xhat in place and takes the variance as a per-channel sum of squares.
+    Its vjp reuses its own parameter gradients, ggamma = sum(go * xhat) and
+    gbeta = sum(go): gx = gamma * inv_std * (go - (gbeta + xhat * ggamma) / m).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d mode must be 'train' or 'eval', got {mode!r}")
@@ -574,44 +588,56 @@ def batchnorm2d(
             f"batchnorm2d gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
         )
     m = n * h * w
-    if mode == "train":
-        if m < 2:
-            raise ShapeError(
-                f"batchnorm2d train mode needs at least 2 values per channel, got {m}"
-            )
-        mean = x.data.mean(axis=(0, 2, 3))
-        centered = x.data - mean[None, :, None, None]
-        var = (centered * centered).mean(axis=(0, 2, 3))
-        unbiased = var * (m / (m - 1))
-        running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
-        running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * unbiased
-    else:
-        centered = x.data - running_mean.data[None, :, None, None]
-        var = running_var.data
+    xd, gdata, need_x = x.data, gamma.data, x.requires_grad
+    if mode == "eval":
+        mean = running_mean.data
+        inv_std = 1.0 / np.sqrt(running_var.data + BN_EPS)
+        scale = (gdata * inv_std)[None, :, None, None]
+        out = np.subtract(xd, mean[None, :, None, None])
+        out *= scale
+        out += beta.data[None, :, None, None]
+
+        def eval_vjp(go):
+            xhat = np.subtract(xd, mean[None, :, None, None])
+            xhat *= inv_std[None, :, None, None]
+            gx = go * scale if need_x else None
+            return gx, _channel_dot(go, xhat), go.sum(axis=(0, 2, 3))
+
+        return _emit(out, (x, gamma, beta), eval_vjp)
+
+    if m < 2:
+        raise ShapeError(f"batchnorm2d train mode needs at least 2 values per channel, got {m}")
+    mean = xd.mean(axis=(0, 2, 3))
+    # the centred copy becomes xhat in place; nothing reads it centred again
+    xhat = np.subtract(xd, mean[None, :, None, None])
+    var = _channel_dot(xhat, xhat) / m
+    unbiased = var * (m / (m - 1))
+    running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
+    running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * unbiased
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    # in place: nothing reads the centered values again
-    xhat = np.multiply(centered, inv_std[None, :, None, None], out=centered)
-    out = gamma.data[None, :, None, None] * xhat + beta.data[None, :, None, None]
+    xhat *= inv_std[None, :, None, None]
+    out = xhat * gdata[None, :, None, None]
+    out += beta.data[None, :, None, None]
 
-    need_x, train = x.requires_grad, mode == "train"
-    gdata = gamma.data
-
-    def vjp(go):
-        ggamma = (go * xhat).sum(axis=(0, 2, 3))
+    def train_vjp(go):
+        ggamma = _channel_dot(go, xhat)
         gbeta = go.sum(axis=(0, 2, 3))
         gx = None
-        if need_x and train:
-            # standard batchnorm gradient, everything per channel
-            gxhat = go * gdata[None, :, None, None]
-            s1 = gxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (gxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            gx = (inv_std[None, :, None, None] / m) * (m * gxhat - s1 - xhat * s2)
-        elif need_x:
-            # eval mode: the running buffers are constants
-            gx = go * (gdata * inv_std)[None, :, None, None]
+        if need_x:
+            # go is never written: add's vjp hands one array to both inputs
+            gx = xhat * (-ggamma / m)[None, :, None, None]
+            gx += go
+            gx -= (gbeta / m)[None, :, None, None]
+            gx *= (gdata * inv_std)[None, :, None, None]
         return gx, ggamma, gbeta
 
-    return _emit(out, (x, gamma, beta), vjp)
+    return _emit(out, (x, gamma, beta), train_vjp)
+
+
+def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a * b over (N, H, W), with no product array."""
+    n, c = a.shape[:2]
+    return np.einsum("nci,nci->c", a.reshape(n, c, -1), b.reshape(n, c, -1))
 
 
 def dropout2d(x: Tensor, p: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:

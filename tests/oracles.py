@@ -115,6 +115,43 @@ def batchnorm_eval_direct(x, gamma, beta, run_mean, run_var, eps=1e-5):
     return out
 
 
+def batchnorm_grads_textbook(x, gamma, go, run_mean=None, run_var=None, eps=1e-5):
+    """(gx, ggamma, gbeta) of batchnorm for the output gradient ``go``, one
+    channel at a time.
+
+    Without running statistics this is train mode: biased two-pass batch
+    statistics, and the input gradient through gxhat = go * gamma,
+    gx = inv_std / m * (m * gxhat - sum(gxhat) - xhat * sum(gxhat * xhat)).
+    With them it is eval mode, where the statistics are constants and
+    gx = gxhat * inv_std.
+    """
+    n, c, h, w = x.shape
+    m = n * h * w
+    gx = np.zeros_like(x)
+    ggamma = np.zeros(c)
+    gbeta = np.zeros(c)
+    for ci in range(c):
+        vals = x[:, ci, :, :]
+        g = go[:, ci, :, :]
+        if run_mean is None:
+            mean = vals.sum() / m
+            var = ((vals - mean) ** 2).sum() / m
+        else:
+            mean, var = run_mean[ci], run_var[ci]
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (vals - mean) * inv_std
+        ggamma[ci] = (g * xhat).sum()
+        gbeta[ci] = g.sum()
+        gxhat = g * gamma[ci]
+        if run_mean is None:
+            s1 = gxhat.sum()
+            s2 = (gxhat * xhat).sum()
+            gx[:, ci, :, :] = (inv_std / m) * (m * gxhat - s1 - xhat * s2)
+        else:
+            gx[:, ci, :, :] = gxhat * inv_std
+    return gx, ggamma, gbeta
+
+
 def confusion_loops(pred, gt):
     """(tp, fp, fn, tn) by scanning every element."""
     tp = fp = fn = tn = 0

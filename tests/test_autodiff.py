@@ -260,6 +260,39 @@ def test_conv2d_backward_transient_covers_one_sample(op):
     assert peak - held < bound
 
 
+# eval writes one output array and train adds xhat; the train backward holds
+# the output gradient and the input gradient, with no full-size product
+@pytest.mark.parametrize(
+    "case, bound", [("eval forward", 1.25), ("train forward", 2.25), ("train backward", 2.25)]
+)
+def test_batchnorm_transient_in_inputs(case, bound):
+    """tracemalloc peak of one batchnorm2d step on a (4, 48, 32, 32) input,
+    in units of that input: a forward with its output, or the backward of
+    sum_all(bn(x)) with its output gradient and input gradient."""
+    rng = rngmod.stream(38, "bn-transient")
+    x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
+    gamma = Tensor(rng.random(48) + 0.5, requires_grad=True)
+    beta = Tensor(rng.standard_normal(48), requires_grad=True)
+
+    def bn(mode):
+        return batchnorm2d(x, gamma, beta, Tensor(np.zeros(48)), Tensor(np.ones(48)), mode)
+
+    if case == "train backward":
+        with Graph():
+            loss = sum_all(bn("train"))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        if case == "train backward":
+            backward(loss)
+        else:
+            bn(case.split()[0])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / x.data.nbytes < bound
+
+
 def test_mul_backward_skips_constant_input():
     # the output gradient and x's gradient are 2x the array; a product for
     # the constant r would make it 3x
@@ -390,6 +423,30 @@ def test_grad_batchnorm_eval():
             return projection(batchnorm2d(ts[0], ts[1], ts[2], rmean, rvar, "eval"), 400 + case)
 
         gradcheck(make, [x, gamma, beta])
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_grads_match_textbook_oracle(mode):
+    rng = rngmod.stream(39, f"bn-oracle-{mode}")
+    # (1, 3, 1, 2) is the smallest train batch: m = 2 values per channel
+    shapes = [(1, 3, 1, 2), (1, 2, 2, 1)] + [
+        tuple(int(v) for v in rng.integers([1, 1, 2, 1], 6)) for _ in range(8)
+    ]
+    for shape in shapes:
+        c = shape[1]
+        x = Tensor(_rand(rng, *shape) * 3.0 + 1.0, requires_grad=True)
+        gamma = Tensor(_rand(rng, c), requires_grad=True)
+        beta = Tensor(_rand(rng, c), requires_grad=True)
+        go = _rand(rng, *shape)
+        rm, rv = _rand(rng, c), rng.random(c) + 0.5
+        with Graph():
+            out = batchnorm2d(x, gamma, beta, Tensor(rm.copy()), Tensor(rv.copy()), mode)
+            loss = sum_all(mul(out, Tensor(go)))
+        backward(loss)
+        stats = (None, None) if mode == "train" else (rm, rv)
+        want = oracles.batchnorm_grads_textbook(x.data, gamma.data, go, *stats)
+        for got, ref in zip((x.grad, gamma.grad, beta.grad), want):
+            assert oracles.rel_err(got, ref) < 1e-12, shape
 
 
 def test_grad_activations():

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -249,6 +250,25 @@ def record_bytes(name: bytes, arr) -> bytes:
         + struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
         + np.ascontiguousarray(arr, dtype="<f8").tobytes()
     )
+
+
+def test_checkpoint_save_streams_its_arrays(tmp_path):
+    _, ckpt = make_checkpoint()
+    path = tmp_path / "model.msckpt"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        save_checkpoint(ckpt, str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # a save that joins the records, or copies one array, holds the payload again
+    assert peak < 0.25 * sum(a.nbytes for a in ckpt.arrays.values())
+    doc = _doc_text(ckpt).encode("utf-8")
+    body = b"MSCKPT1\x01" + struct.pack("<I", len(doc)) + doc + b"".join(
+        record_bytes(name.encode("utf-8"), arr) for name, arr in ckpt.arrays.items()
+    )
+    assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_checkpoint_refuses_repeated_record(tmp_path):

@@ -9,12 +9,14 @@ from msseg.tensor import (
     Graph,
     Tensor,
     avgpool2d,
+    backward,
     batchnorm2d,
     concat_channels,
     conv2d,
     conv_transpose2d,
     dropout2d,
     maxpool2d,
+    mul,
     relu,
     sigmoid,
     softmax_channels,
@@ -227,6 +229,16 @@ def test_batchnorm_running_update_rule():
 def test_relu_values():
     out = relu(t([-1.0, 0.0, 2.0]))
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+    # signed zeros, NaNs, infinities and subnormals land on the exact bytes
+    # of np.where(x > 0, x, 0.0), and the gradient on those of go * (x > 0)
+    x = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-320, -1e-320, 2.5, -2.5])
+    go = rngmod.stream(20, "relu-go").standard_normal(x.shape)
+    xt = Tensor(x, requires_grad=True)
+    with Graph():
+        loss = sum_all(mul(relu(xt), t(go)))
+    backward(loss)
+    assert relu(t(x)).data.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert xt.grad.tobytes() == (go * (x > 0)).tobytes()
 
 
 def test_sigmoid_tanh_at_zero():
