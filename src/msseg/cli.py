@@ -206,19 +206,20 @@ def _write_overlays(out_dir, vol: Volume, pred: MaskVolume, gt: MaskVolume | Non
             rgb[p & ~g] = (255, 0, 0)
             rgb[~p & g] = (0, 255, 0)
         header = f"P6\n{w} {h}\n255\n".encode("ascii")
-        dio.atomic_write_bytes(
-            os.path.join(out_dir, f"overlay_{i:04d}.ppm"), header + rgb.tobytes()
-        )
+        dio.atomic_write_bytes(os.path.join(out_dir, f"overlay_{i:04d}.ppm"), header, rgb)
 
 
 def cmd_predict(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     vol = dio.load_volume(args.volume)
+    gt = None
+    if args.mask:
+        gt = dio.load_mask(args.mask)
+        dio._require_paired(vol, gt)
     pred = predict(ckpt, vol)
     os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "prediction.msmsk")
     dio.save_mask(pred, pred_path)
-    gt = dio.load_mask(args.mask) if args.mask else None
     _write_overlays(args.out, vol, pred, gt)
     print(f"wrote {pred_path} and {vol.dims[0]} overlay rasters to {args.out}")
     if gt is not None:

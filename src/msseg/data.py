@@ -120,24 +120,24 @@ def _read_array(path: str, magic: bytes, dtype) -> np.ndarray:
     with open(path, "rb") as fh:
         raw = fh.read()
     dims = _read_header(raw, path, (magic,))
-    expected = np.dtype(dtype).itemsize * dims[0] * dims[1] * dims[2]
-    payload = raw[_HEADER.size:]
-    if len(payload) < expected:
+    count = dims[0] * dims[1] * dims[2]
+    expected = np.dtype(dtype).itemsize * count
+    got = len(raw) - _HEADER.size
+    if got < expected:
         raise FileFormatError(
-            f"{path}: payload truncated, {len(payload)} of {expected} bytes",
-            code="truncated",
+            f"{path}: payload truncated, {got} of {expected} bytes", code="truncated"
         )
-    if len(payload) > expected:
+    if got > expected:
         raise FileFormatError(
-            f"{path}: {len(payload) - expected} trailing bytes after payload",
-            code="size-mismatch",
+            f"{path}: {got - expected} trailing bytes after payload", code="size-mismatch"
         )
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+    # the payload is read in place from the file's bytes; one copy makes it writable
+    return np.frombuffer(raw, dtype, count, offset=_HEADER.size).reshape(dims).copy()
 
 
 def save_volume(v: Volume, path: str) -> None:
-    payload = np.ascontiguousarray(v.voxels, dtype="<f4").tobytes()
-    atomic_write_bytes(path, _pack_header(VOLUME_MAGIC, v.dims) + payload)
+    payload = np.ascontiguousarray(v.voxels, dtype="<f4")
+    atomic_write_bytes(path, _pack_header(VOLUME_MAGIC, v.dims), payload)
 
 
 def load_volume(path: str) -> Volume:
@@ -149,8 +149,8 @@ def load_volume(path: str) -> Volume:
 
 
 def save_mask(m: MaskVolume, path: str) -> None:
-    payload = np.ascontiguousarray(m.labels, dtype=np.uint8).tobytes()
-    atomic_write_bytes(path, _pack_header(MASK_MAGIC, m.dims) + payload)
+    payload = np.ascontiguousarray(m.labels, dtype=np.uint8)
+    atomic_write_bytes(path, _pack_header(MASK_MAGIC, m.dims), payload)
 
 
 def load_mask(path: str) -> MaskVolume:

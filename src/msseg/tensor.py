@@ -10,10 +10,11 @@ topological order, and ``backward`` is a single reversed sweep that pops
 each node as it runs it, freeing the node's closure on the way down. With
 no graph active, operations are pure evaluation and keep no references.
 Both convolution ops, ``conv2d`` and ``conv_transpose2d``, work one sample
-at a time, so their temporaries cover one sample, not the batch.
-``conv2d``'s forward and weight gradient run as shifted GEMMs over one
-zero-padded canvas per sample and build no patch matrix. Its input gradient
-and ``conv_transpose2d``'s gradients keep the patch-matrix helpers.
+at a time, so their temporaries cover one sample, not the batch, and each
+gathers its operands one way. Every ``conv2d`` product reads one
+zero-padded canvas per sample (``_shifted_taps``); ``conv_transpose2d``'s
+vjp reads back the stride-2 windows its forward scatters into, once per
+sample for both gradients.
 Batchnorm and ReLU make the fewest passes over memory they can: eval-mode
 ``batchnorm2d`` is one per-channel scale and shift into its one output,
 its train-mode vjp is built from its own ``gamma`` and ``beta`` gradients,
@@ -367,39 +368,6 @@ def upsample_nearest(x: Tensor) -> Tensor:
 # convolution
 
 
-def _patches(a: np.ndarray, k: int, pad: int, stride: int) -> np.ndarray:
-    """(C, H, W) sample -> (C*k*k, L) patch matrix of its k x k windows at
-    ``stride`` after zero-padding by ``pad``; L = Ho*Wo."""
-    if pad:
-        a = np.pad(a, ((0, 0), (pad, pad), (pad, pad)))
-    c, hp, wp = a.shape
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
-    sc, sh, sw = a.strides
-    win = np.lib.stride_tricks.as_strided(
-        a, (c, k, k, ho, wo), (sc, sh, sw, sh * stride, sw * stride), writeable=False
-    )
-    return win.reshape(c * k * k, ho * wo)
-
-
-def _correlate(mat, a, k, pad, stride, ho, wo) -> np.ndarray:
-    """``mat @ _patches(a[i], ...)`` for each sample i of ``a``, written into
-    one (N, rows of mat, ho, wo) output."""
-    n = a.shape[0]
-    res = np.empty((n, mat.shape[0], ho * wo))
-    for i in range(n):
-        np.matmul(mat, _patches(a[i], k, pad, stride), out=res[i])
-    return res.reshape(n, -1, ho, wo)
-
-
-def _weight_grad(g, a, k, stride) -> np.ndarray:
-    """Sum over samples i of ``g[i] @ _patches(a[i], k, 0, stride).T``, with
-    each ``g[i]`` read as a (channels, L) matrix."""
-    return sum(
-        g[i].reshape(g.shape[1], -1) @ _patches(a[i], k, 0, stride).T for i in range(len(g))
-    )
-
-
 def _shifted_taps(a: np.ndarray, k: int):
     """For each (C, H, W) sample of ``a``, yield its k*k "same"-correlation
     taps, read in place from one flat zero-padded canvas.
@@ -480,21 +448,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
 
-    All three products run one sample at a time. The forward and the weight
-    gradient are shifted GEMMs over one zero-padded canvas per sample
-    (``_shifted_taps``), so no patch matrix of the input is built. The input
-    gradient is the "same" correlation of the output gradient with the
-    kernel rotated 180 degrees and its channel axes swapped. It runs on the
-    output gradient's patch matrix, which has only F*k*k rows.
+    All three products run one sample at a time and read their operand
+    from one zero-padded canvas per sample (``_shifted_taps``). The forward
+    and the weight gradient are shifted GEMMs over the input's canvas, so no
+    patch matrix of the input is built. The input gradient is the "same"
+    correlation of the output gradient with the kernel rotated 180 degrees
+    and its channel axes swapped: the output gradient's k*k taps, minus
+    their junk columns, are copied into one (F*k*k, H*W) buffer, which has
+    few rows because F is small, and one GEMM reads it.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
         raise ShapeError(f"conv2d needs an odd kernel, got {k}x{k}")
-    _, c, h, wd = x.data.shape
+    n, c, h, wd = x.data.shape
     f = w.data.shape[0]
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
-    pad = k // 2
     xd, wdata = x.data, w.data
     out = _shifted_correlate(wdata, xd)
     out += b.data[None, :, None, None]
@@ -506,8 +475,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gw = _shifted_weight_grad(go, xd, k) if need_w else None
         gx = None
         if need_x:
+            # columns in (f, i, j) order, matching the buffer's rows
             wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            gx = _correlate(wt, go, k, pad, 1, h, wd)
+            gx = np.empty((n, c, h * wd))
+            cols = np.empty((f, k * k, h, wd))
+            for s, taps in enumerate(_shifted_taps(go, k)):
+                for t, tap in enumerate(taps):
+                    cols[:, t] = tap.reshape(f, h, -1)[:, :, :wd]
+                np.matmul(wt, cols.reshape(f * k * k, -1), out=gx[s])
+            gx = gx.reshape(n, c, h, wd)
         return gx, gw, gb
 
     return _emit(out, (x, w, b), vjp)
@@ -521,31 +497,47 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     cross-correlation with the same weight array read as (F, C, k, k):
     <xcorr(a; w), y> == <a, conv_transpose2d(y; w)>.
 
-    Like conv2d it works one sample at a time; its gradients are that
-    stride-2 cross-correlation, through the same helpers conv2d uses.
+    Like conv2d it works one sample at a time. The forward puts a sample's
+    taps, wmat.T @ x[s], in one (F*k*k, H*W) buffer and scatters tap (i, j)
+    into the stride-2 window at offset (i, j). The vjp reads the same
+    windows of the output gradient back into such a buffer, which is that
+    stride-2 cross-correlation's patch matrix, and both gradients are GEMMs
+    over that one gather.
     """
     k = _square_kernel(x, w, "conv_transpose2d", 0)
     n, c, h, wd = x.data.shape
     f = w.data.shape[1]
     xd = x.data
     wmat = w.data.reshape(c, f * k * k)
-    # one reused (F*k*k, H*W) buffer holds each sample's taps for the scatter
+    windows = [np.s_[:, i:i + 2 * h:2, j:j + 2 * wd:2] for i in range(k) for j in range(k)]
     out = np.zeros((n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k))
+    # one reused buffer holds each sample's taps, rows in (f, i, j) order
     cols = np.empty((f * k * k, h * wd))
-    taps = cols.reshape(f, k, k, h, wd)
+    taps = cols.reshape(f, k * k, h, wd)
     for s in range(n):
         np.matmul(wmat.T, xd[s].reshape(c, h * wd), out=cols)
-        for i in range(k):
-            for j in range(k):
-                out[s, :, i:i + 2 * h:2, j:j + 2 * wd:2] += taps[:, i, j]
+        for t, win in enumerate(windows):
+            out[s][win] += taps[:, t]
 
     need_x, need_w = x.requires_grad, w.requires_grad
     wshape = w.data.shape
 
     def vjp(go):
-        gx = _correlate(wmat, go, k, 0, 2, h, wd) if need_x else None
-        gw = _weight_grad(xd, go, k, 2).reshape(wshape) if need_w else None
-        return gx, gw
+        gx = np.empty((n, c, h * wd)) if need_x else None
+        gw = np.zeros((c, f * k * k)) if need_w else None
+        cols = np.empty((f * k * k, h * wd))
+        taps = cols.reshape(f, k * k, h, wd)
+        for s in range(n):
+            for t, win in enumerate(windows):
+                taps[:, t] = go[s][win]
+            if need_x:
+                np.matmul(wmat, cols, out=gx[s])
+            if need_w:
+                gw += xd[s].reshape(c, -1) @ cols.T
+        return (
+            gx.reshape(n, c, h, wd) if need_x else None,
+            gw.reshape(wshape) if need_w else None,
+        )
 
     return _emit(out, (x, w), vjp)
 

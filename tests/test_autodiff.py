@@ -142,7 +142,7 @@ def test_backward_frees_later_nodes_before_earlier_vjps_run():
 
 
 # ---------------------------------------------------------------------------
-# conv2d backward: retained memory and the per-sample weight gradient
+# convolution backward: retained memory and exact loop-oracle gradients
 
 
 def test_conv2d_keeps_no_patch_matrix_for_backward():
@@ -163,6 +163,16 @@ def test_conv2d_keeps_no_patch_matrix_for_backward():
     assert retained < 2 * x.data.nbytes
 
 
+def _unit_probe(loss_at, shape):
+    """The gradient of a loss linear in one array: its loss at each unit array."""
+    want = np.zeros(shape)
+    for idx in np.ndindex(*shape):
+        unit = np.zeros(shape)
+        unit[idx] = 1.0
+        want[idx] = loss_at(unit)
+    return want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_weight_grad_matches_loop_oracle(n, k):
@@ -176,12 +186,9 @@ def test_conv2d_weight_grad_matches_loop_oracle(n, k):
         with Graph():
             loss = sum_all(mul(conv2d(Tensor(x), w, Tensor(zero_bias)), Tensor(r)))
         backward(loss)
-        # the loss is linear in w: each weight's gradient is the loss at that unit weight
-        want = np.zeros(w.shape)
-        for idx in np.ndindex(*w.shape):
-            unit = np.zeros(w.shape)
-            unit[idx] = 1.0
-            want[idx] = np.sum(oracles.conv2d_loops(x, unit, zero_bias, pad=k // 2) * r)
+        want = _unit_probe(
+            lambda u: np.sum(oracles.conv2d_loops(x, u, zero_bias, pad=k // 2) * r), w.shape
+        )
         np.testing.assert_allclose(w.grad, want, rtol=0.0, atol=1e-12)
 
 
@@ -189,20 +196,41 @@ def test_conv2d_weight_grad_matches_loop_oracle(n, k):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_input_grad_matches_loop_oracle(n, k):
     rng = rngmod.stream(36, f"conv-xgrad-{n}-{k}")
-    x = Tensor(rng.standard_normal((n, 2, 5, 4)), requires_grad=True)
-    r = rng.standard_normal((n, 3, 5, 4))
-    w = rng.standard_normal((3, 2, k, k))
-    zero_bias = np.zeros(3)
-    with Graph():
-        loss = sum_all(mul(conv2d(x, Tensor(w), Tensor(zero_bias)), Tensor(r)))
-    backward(loss)
-    # the loss is linear in x: each input's gradient is the loss at that unit input
-    want = np.zeros(x.shape)
-    for idx in np.ndindex(*x.shape):
-        unit = np.zeros(x.shape)
-        unit[idx] = 1.0
-        want[idx] = np.sum(oracles.conv2d_loops(unit, w, zero_bias, pad=k // 2) * r)
-    np.testing.assert_allclose(x.grad, want, rtol=0.0, atol=1e-12)
+    # at 2x2 and 1x1 a k > H kernel's taps fall wholly in the padding
+    for h, wd in ((5, 4), (2, 2), (1, 1)):
+        x = Tensor(rng.standard_normal((n, 2, h, wd)), requires_grad=True)
+        r = rng.standard_normal((n, 3, h, wd))
+        w = rng.standard_normal((3, 2, k, k))
+        zero_bias = np.zeros(3)
+        with Graph():
+            loss = sum_all(mul(conv2d(x, Tensor(w), Tensor(zero_bias)), Tensor(r)))
+        backward(loss)
+        want = _unit_probe(
+            lambda u: np.sum(oracles.conv2d_loops(u, w, zero_bias, pad=k // 2) * r), x.shape
+        )
+        np.testing.assert_allclose(x.grad, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_conv_transpose2d_grads_match_loop_oracle(n, k):
+    rng = rngmod.stream(38, f"convt-grads-{n}-{k}")
+    # C = 2 input channels, F = 3 output channels, a non-square 3x2 input
+    x = rng.standard_normal((n, 2, 3, 2))
+    w = rng.standard_normal((2, 3, k, k))
+    r = rng.standard_normal((n, 3, 4 + k, 2 + k))
+    want_x = _unit_probe(lambda u: np.sum(oracles.conv_transpose2d_loops(u, w, 2) * r), x.shape)
+    want_w = _unit_probe(lambda u: np.sum(oracles.conv_transpose2d_loops(x, u, 2) * r), w.shape)
+    for need_x, need_w in ((True, True), (True, False), (False, True)):
+        xt, wt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w)
+        with Graph():
+            loss = sum_all(mul(conv_transpose2d(xt, wt), Tensor(r)))
+        backward(loss)
+        for t, need, want in ((xt, need_x, want_x), (wt, need_w, want_w)):
+            if need:
+                np.testing.assert_allclose(t.grad, want, rtol=0.0, atol=1e-12)
+            else:
+                assert t.grad is None
 
 
 def _conv_transient_case(op):
@@ -217,14 +245,14 @@ def _conv_transient_case(op):
         w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w, Tensor(np.zeros(12), requires_grad=True)), conv2d
         # one sample's padded canvas is about 1.2x its input, where its 3x3
-        # patch matrix would be 9x; the input gradient's patch matrix is
-        # built from the 12-channel output gradient
+        # patch matrix would be 9x; the input gradient's tap buffer holds
+        # the 12-channel output gradient's 9 taps
         bound = 4
     else:
         x = Tensor(rng.standard_normal((4, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w), conv_transpose2d
-        # one sample's 3x3 patch matrix is 9x its input; a batch's would be 36x
+        # one sample's (F*k*k, H*W) tap buffer is 9x its input; a batch's would be 36x
         bound = 18
     return lambda: call(*inputs), inputs, bound * x.data[0].nbytes
 

@@ -5,7 +5,14 @@ import pytest
 
 from msseg.checkpoint import load_checkpoint
 from msseg.cli import main
-from msseg.data import load_mask, parse_manifest, read_volume_dims, write_manifest
+from msseg.data import (
+    MaskVolume,
+    load_mask,
+    parse_manifest,
+    read_volume_dims,
+    save_mask,
+    write_manifest,
+)
 
 MINI_CFG = """\
 num_scales = 2
@@ -252,6 +259,22 @@ def test_overlay_of_perfect_prediction_is_grayscale(workspace, tmp_path):
         rgb = np.frombuffer(body, dtype=np.uint8).reshape(dims[1], dims[2], 3)
         assert np.array_equal(rgb[..., 0], rgb[..., 1])
         assert np.array_equal(rgb[..., 1], rgb[..., 2])
+
+
+@pytest.mark.parametrize("extra", [-2, 2])
+def test_predict_refuses_mask_of_other_dims_before_writing(workspace, tmp_path, capsys, extra):
+    proc = workspace["proc"]
+    s, h, w = read_volume_dims(str(proc / "p1t2.msvol"))
+    mask = tmp_path / "other.msmsk"
+    save_mask(MaskVolume(np.zeros((s + extra, h, w), dtype=np.uint8)), str(mask))
+    out = tmp_path / "pred"
+    assert main(["predict", "--ckpt", str(workspace["run"] / "fold1.msckpt"),
+                 "--volume", str(proc / "p1t2.msvol"), "--out", str(out),
+                 "--mask", str(mask)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"image dims {(s, h, w)} and mask dims {(s + extra, h, w)} differ" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

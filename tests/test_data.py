@@ -1,5 +1,8 @@
 """Volume formats, preprocessing chain, folds, and the phantom generator."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,33 @@ def test_mask_round_trip_bit_identical(tmp_path):
     assert back.labels.tobytes() == m.labels.tobytes()
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_volume_io_copies_the_payload_at_most_once(tmp_path):
+    v = rand_volume(rngmod.stream(3, "io-peak"), (12, 192, 192))
+    path = str(tmp_path / "big.msvol")
+    _, save_peak = _traced_peak(lambda: save_volume(v, path))
+    # the header and the array go to the file as two chunks, with no join
+    assert save_peak < 0.25 * v.voxels.nbytes
+    raw = (tmp_path / "big.msvol").read_bytes()
+    header = struct.pack("<6sB3I", b"MSVOL1", FORMAT_VERSION, 12, 192, 192)
+    assert raw == header + v.voxels.tobytes()
+    del raw
+    back, load_peak = _traced_peak(lambda: load_volume(path))
+    # the file's bytes plus the one writable copy of the payload
+    assert load_peak < 2.25 * v.voxels.nbytes
+    assert back.voxels.tobytes() == v.voxels.tobytes()
+
+
 def test_single_voxel_file_size(tmp_path):
     path = str(tmp_path / "one.msvol")
     save_volume(Volume(np.full((1, 1, 1), 0.5, dtype=np.float32)), path)
@@ -131,8 +161,6 @@ def test_header_error_codes(tmp_path):
     with pytest.raises(FileFormatError) as exc:
         load_volume(str(path))
     assert exc.value.code == "size-mismatch"
-
-    import struct
 
     path.write_bytes(struct.pack("<6sB3I", b"MSVOL1", 1, 1 << 20, 1 << 20, 2))
     with pytest.raises(FileFormatError) as exc:
