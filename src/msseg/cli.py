@@ -123,13 +123,10 @@ def cmd_preprocess(args) -> int:
     return 1 if failures else 0
 
 
-def _folds(entries, manifest_path) -> dict[int, FoldSpec]:
-    """Every fold by id, slice counts read once from each image header."""
-    slice_counts = {
-        e.id: dio.read_volume_dims(_resolve(e.image_path, manifest_path))[0]
-        for e in entries
-    }
-    return {f.fold_id: f for f in dio.make_folds(entries, slice_counts)}
+def _folds(entries) -> dict[int, FoldSpec]:
+    """Every fold by id, built from the manifest rows alone: no volume file is
+    opened, so only the chosen fold's volumes need to exist."""
+    return {f.fold_id: f for f in dio.make_folds(entries)}
 
 
 def _pick_fold(folds: dict[int, FoldSpec], fold_id: int) -> FoldSpec:
@@ -143,7 +140,7 @@ def cmd_train(args) -> int:
     if args.epochs is not None:
         tcfg = dataclasses.replace(tcfg, epochs=args.epochs)
     entries = dio.parse_manifest(args.manifest)
-    fold = _pick_fold(_folds(entries, args.manifest), args.fold)
+    fold = _pick_fold(_folds(entries), args.fold)
     dataset = _load_dataset(entries, args.manifest, set(fold.train) | set(fold.val))
     os.makedirs(args.out, exist_ok=True)
 
@@ -238,7 +235,7 @@ def cmd_ablate(args) -> int:
     if len(set(fold_ids)) < len(fold_ids):
         return _fail(f"--folds names a fold more than once, got {args.folds!r}")
     entries = dio.parse_manifest(args.manifest)
-    folds = _folds(entries, args.manifest)
+    folds = _folds(entries)
     chosen = [_pick_fold(folds, fid) for fid in fold_ids]
     needed = set()
     for f in chosen:

@@ -95,11 +95,11 @@ def _pack_header(magic: bytes, dims: tuple[int, int, int]) -> bytes:
     return _HEADER.pack(magic, FORMAT_VERSION, *dims)
 
 
-def _read_header(raw: bytes, path: str, magics: tuple[bytes, ...]):
+def _read_header(raw: bytes, path: str, expected_magic: bytes):
     if len(raw) < _HEADER.size:
         raise FileFormatError(f"{path}: file shorter than the header", code="truncated")
     magic, version, s, h, w = _HEADER.unpack_from(raw)
-    if magic not in magics:
+    if magic != expected_magic:
         raise FileFormatError(f"{path}: bad magic {magic!r}", code="bad-magic")
     if version != FORMAT_VERSION:
         raise FileFormatError(
@@ -116,23 +116,27 @@ def _read_header(raw: bytes, path: str, magics: tuple[bytes, ...]):
 
 
 def _read_array(path: str, magic: bytes, dtype) -> np.ndarray:
-    """Read a volume file: header, then exactly the payload its dims call for."""
+    """Read a volume file: header, then exactly the payload its dims call for.
+
+    The file's size is checked before anything is allocated, and the payload
+    is read straight into the one array returned.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    dims = _read_header(raw, path, (magic,))
-    count = dims[0] * dims[1] * dims[2]
-    expected = np.dtype(dtype).itemsize * count
-    got = len(raw) - _HEADER.size
+        dims = _read_header(fh.read(_HEADER.size), path, magic)
+        expected = np.dtype(dtype).itemsize * dims[0] * dims[1] * dims[2]
+        got = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if got > expected:
+            raise FileFormatError(
+                f"{path}: {got - expected} trailing bytes after payload", code="size-mismatch"
+            )
+        if got == expected:
+            out = np.empty(dims, dtype)
+            got = fh.readinto(out)
     if got < expected:
         raise FileFormatError(
             f"{path}: payload truncated, {got} of {expected} bytes", code="truncated"
         )
-    if got > expected:
-        raise FileFormatError(
-            f"{path}: {got - expected} trailing bytes after payload", code="size-mismatch"
-        )
-    # the payload is read in place from the file's bytes; one copy makes it writable
-    return np.frombuffer(raw, dtype, count, offset=_HEADER.size).reshape(dims).copy()
+    return out
 
 
 def save_volume(v: Volume, path: str) -> None:
@@ -159,13 +163,6 @@ def load_mask(path: str) -> MaskVolume:
         return MaskVolume(labels)
     except ValueError as e:
         raise FileFormatError(f"{path}: {e}", code="bad-labels") from None
-
-
-def read_volume_dims(path: str) -> tuple[int, int, int]:
-    """Read only the header; works for image and mask files alike."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-    return _read_header(raw, path, (VOLUME_MAGIC, MASK_MAGIC))
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +306,15 @@ class FoldSpec:
     train: list[str]
     val: list[str]
     test: list[str]
-    counts: tuple[int, int, int]
 
 
-def make_folds(entries: list[ManifestEntry], slice_counts: dict[str, int]) -> list[FoldSpec]:
+def make_folds(entries: list[ManifestEntry]) -> list[FoldSpec]:
     """Leave-one-scan-out folds over exactly five patients.
 
     Fold k holds out patient k's final time point for testing and uses the
     final time points of the next three patients (cyclically) for validation;
-    everything else trains.  `slice_counts` maps every volume id to its slice
-    count, which the fold's `counts` sum.
+    everything else trains.  Only the entries' ids, patients and time points
+    are read; no volume file is opened.
     """
     by_patient: dict[str, list[ManifestEntry]] = {}
     for e in entries:
@@ -344,12 +340,7 @@ def make_folds(entries: list[ManifestEntry], slice_counts: dict[str, int]) -> li
         val = [finals[patients[(k + j) % 5]] for j in (1, 2, 3)]
         held = set(test) | set(val)
         train = [e.id for e in entries if e.id not in held]
-        counts = (
-            sum(slice_counts[i] for i in train),
-            sum(slice_counts[i] for i in val),
-            sum(slice_counts[i] for i in test),
-        )
-        folds.append(FoldSpec(k + 1, train, val, test, counts))
+        folds.append(FoldSpec(k + 1, train, val, test))
     return folds
 
 
@@ -358,6 +349,9 @@ def make_folds(entries: list[ManifestEntry], slice_counts: dict[str, int]) -> li
 
 
 _DEFAULT_LESION_RADIUS = (2.0, 4.0)
+# Brain voxels are BRAIN_FLOOR plus up to this much texture, which keeps them
+# below LESION_BAND's floor.
+TEXTURE_AMPLITUDE = 0.45
 
 
 @dataclass(frozen=True)
@@ -368,7 +362,6 @@ class PhantomSpec:
     dims: tuple[int, int, int] = (24, 64, 64)
     n_lesions: tuple[int, int] = (2, 5)
     lesion_radius: tuple[float, float] = _DEFAULT_LESION_RADIUS
-    texture_amplitude: float = 0.45
 
 
 _PLACEMENT_ATTEMPTS = 200
@@ -418,13 +411,6 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
         raise ValueError(
             f"dims {spec.dims} cannot fit a lesion of diameter {2 * rhi:g}"
         )
-    if spec.texture_amplitude < 0:
-        raise ValueError("texture amplitude must be non-negative")
-    if BRAIN_FLOOR + spec.texture_amplitude >= LESION_BAND[0]:
-        raise ValueError(
-            f"brain band tops out at {BRAIN_FLOOR + spec.texture_amplitude:g}, "
-            f"which is not below the lesion band floor {LESION_BAND[0]}"
-        )
 
     rng = rngmod.stream(spec.seed, "phantom")
     centers = [(d - 1) / 2 for d in spec.dims]
@@ -439,7 +425,7 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
 
     coarse = rng.random((math.ceil(s / 4), math.ceil(h / 4), math.ceil(w / 4)))
     texture = np.kron(coarse, np.ones((4, 4, 4)))[:s, :h, :w]
-    image = np.where(brain, BRAIN_FLOOR + spec.texture_amplitude * texture, 0.0)
+    image = np.where(brain, BRAIN_FLOOR + TEXTURE_AMPLITUDE * texture, 0.0)
     mask = np.zeros(spec.dims, dtype=np.uint8)
 
     n = int(rng.integers(nlo, nhi + 1))

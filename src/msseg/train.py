@@ -8,8 +8,6 @@ strictly highest validation Dice is what the returned checkpoint carries.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -44,17 +42,9 @@ PREDICT_BATCH = 4
 
 
 def worker_count() -> int:
-    """Thread budget for per-volume fan-out, capped by MSSEG_THREADS."""
-    env = os.environ.get("MSSEG_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"MSSEG_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError("MSSEG_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    """Threads ``evaluate`` predicts on: always 1, the calling thread. BLAS
+    already keeps every core busy inside the convolutions."""
+    return 1
 
 
 def soft_dice_loss(prob: Tensor, gt: np.ndarray, eps: float = 1e-6) -> Tensor:
@@ -152,14 +142,21 @@ def predict(ckpt: Checkpoint, v: Volume) -> MaskVolume:
     return predict_with_params(restore_into_model(ckpt), v)
 
 
-def _mean_dice(params: ModelParams, ids: list[str], dataset: Dataset) -> float:
-    """Mean Dice of the model's predictions over the named volumes."""
-    scores = []
+def _confusions(
+    params: ModelParams, ids: Iterable[str], dataset: Dataset
+) -> dict[str, ConfusionCounts]:
+    """Confusion counts of the model's prediction for each named volume, in
+    ``ids`` order, one volume at a time on the calling thread."""
+    counts = {}
     for vid in ids:
         vol, gt = dataset[vid]
-        pred = predict_with_params(params, vol)
-        scores.append(dice(confusion(pred, gt)))
-    return float(np.mean(scores))
+        counts[vid] = confusion(predict_with_params(params, vol), gt)
+    return counts
+
+
+def _mean_dice(params: ModelParams, ids: list[str], dataset: Dataset) -> float:
+    """Mean Dice of the model's predictions over the named volumes."""
+    return float(np.mean([dice(c) for c in _confusions(params, ids, dataset).values()]))
 
 
 def train(
@@ -212,21 +209,14 @@ def train(
 
 
 def evaluate(ckpt: Checkpoint, dataset: Dataset) -> MetricsReport:
-    """Per-volume confusion and metrics, volumes fanned out across threads.
+    """Per-volume confusion and metrics, predicted one volume at a time on
+    the calling thread, as validation does.
 
     Report rows follow the dataset's key order.
     """
     if not dataset:
         raise ValueError("evaluate needs at least one volume")
-    params = restore_into_model(ckpt)
-
-    def one(pair: tuple[Volume, MaskVolume]) -> ConfusionCounts:
-        vol, gt = pair
-        return confusion(predict_with_params(params, vol), gt)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        counts = list(pool.map(one, dataset.values()))
-    return MetricsReport.from_counts(dict(zip(dataset, counts)))
+    return MetricsReport.from_counts(_confusions(restore_into_model(ckpt), dataset, dataset))
 
 
 def run_ablation(

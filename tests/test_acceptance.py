@@ -768,7 +768,7 @@ def test_pipeline_audit():
                 k += 1
         assert len(entries) == 21
 
-        folds = make_folds(entries, {vid: v.dims[0] for vid, (v, _) in volumes.items()})
+        folds = make_folds(entries)
         assert len(folds) == 5
         finals = {f"p{p}t{c}" for p, c in timepoints.items()}
         seen_tests = set()

@@ -1,5 +1,7 @@
 """End-to-end command-line runs over a shared phantom workspace."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from msseg.cli import main
 from msseg.data import (
     MaskVolume,
     load_mask,
+    load_volume,
     parse_manifest,
-    read_volume_dims,
     save_mask,
     write_manifest,
 )
@@ -62,8 +64,8 @@ def test_phantom_writes_pairs_and_manifest(tmp_path):
     entries = parse_manifest(str(out / "manifest.tsv"))
     assert len(entries) == 5
     for e in entries:
-        assert read_volume_dims(str(out / e.image_path)) == (8, 32, 32)
-        assert read_volume_dims(str(out / e.mask_path)) == (8, 32, 32)
+        assert load_volume(str(out / e.image_path)).dims == (8, 32, 32)
+        assert load_mask(str(out / e.mask_path)).dims == (8, 32, 32)
     patients = [e.patient for e in entries]
     assert patients == ["1", "2", "3", "4", "5"]
 
@@ -100,7 +102,7 @@ def test_preprocess_outputs_and_summary(workspace):
     entries = parse_manifest(str(proc / "manifest.tsv"))
     assert len(entries) == 10
     for e in entries:
-        dims = read_volume_dims(str(proc / e.image_path))
+        dims = load_volume(str(proc / e.image_path)).dims
         assert dims[1:] == (16, 16)
         assert dims[0] < 10
     summary = (proc / "summary.txt").read_text()
@@ -165,6 +167,22 @@ def test_train_is_rerunnable_bit_identical(workspace, tmp_path):
                  "--config", str(workspace["cfg"]), "--out", str(out2)]) == 0
     for name in ("fold1_curve.csv", "fold1.msckpt"):
         assert (out2 / name).read_bytes() == (workspace["run"] / name).read_bytes()
+
+
+def test_train_needs_only_the_folds_volumes(workspace, tmp_path):
+    proc = workspace["proc"]
+    entries = parse_manifest(str(proc / "manifest.tsv"))
+    # fold 1 tests on p1t2, so training it never reads that volume
+    rows = []
+    for e in entries:
+        image = tmp_path / "absent.msvol" if e.id == "p1t2" else proc / e.image_path
+        mask = proc / e.mask_path
+        rows.append(dataclasses.replace(e, image_path=str(image), mask_path=str(mask)))
+    write_manifest(rows, str(tmp_path / "manifest.tsv"))
+    assert main(["train", "--manifest", str(tmp_path / "manifest.tsv"), "--fold", "1",
+                 "--config", str(workspace["cfg"]), "--out", str(tmp_path / "o"),
+                 "--epochs", "0"]) == 0
+    assert (tmp_path / "o" / "fold1.msckpt").exists()
 
 
 def test_train_zero_epochs(workspace, tmp_path):
@@ -232,7 +250,7 @@ def test_predict_outputs_and_overlays(workspace, tmp_path):
     assert main(["predict", "--ckpt", str(workspace["run"] / "fold1.msckpt"),
                  "--volume", str(proc / "p1t2.msvol"), "--out", str(out),
                  "--mask", str(proc / "p1t2.msmsk")]) == 0
-    dims = read_volume_dims(str(proc / "p1t2.msvol"))
+    dims = load_volume(str(proc / "p1t2.msvol")).dims
     pred = load_mask(str(out / "prediction.msmsk"))
     assert pred.dims == dims
     overlays = sorted(p.name for p in out.iterdir() if p.suffix == ".ppm")
@@ -252,7 +270,7 @@ def test_overlay_of_perfect_prediction_is_grayscale(workspace, tmp_path):
     assert main(["predict", "--ckpt", str(workspace["run"] / "fold1.msckpt"),
                  "--volume", str(proc / "p1t2.msvol"), "--out", str(second),
                  "--mask", str(first / "prediction.msmsk")]) == 0
-    dims = read_volume_dims(str(proc / "p1t2.msvol"))
+    dims = load_volume(str(proc / "p1t2.msvol")).dims
     for ppm in second.glob("overlay_*.ppm"):
         raw = ppm.read_bytes()
         body = raw.split(b"\n", 3)[3]
@@ -264,7 +282,7 @@ def test_overlay_of_perfect_prediction_is_grayscale(workspace, tmp_path):
 @pytest.mark.parametrize("extra", [-2, 2])
 def test_predict_refuses_mask_of_other_dims_before_writing(workspace, tmp_path, capsys, extra):
     proc = workspace["proc"]
-    s, h, w = read_volume_dims(str(proc / "p1t2.msvol"))
+    s, h, w = load_volume(str(proc / "p1t2.msvol")).dims
     mask = tmp_path / "other.msmsk"
     save_mask(MaskVolume(np.zeros((s + extra, h, w), dtype=np.uint8)), str(mask))
     out = tmp_path / "pred"

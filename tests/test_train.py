@@ -1,6 +1,7 @@
 """Loss function, training loop determinism, inference, and evaluation."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -44,7 +45,6 @@ from msseg.train import (
     run_ablation,
     soft_dice_loss,
     train,
-    worker_count,
 )
 
 from test_autodiff import gradcheck
@@ -64,7 +64,6 @@ def phantom_dataset(seed, n_patients=5, timepoints=2, dims=(12, 16, 16)):
     """Tiny phantom volumes keyed like a manifest, plus fold specs."""
     dataset = {}
     entries = []
-    counts = {}
     i = 0
     for p in range(1, n_patients + 1):
         for t in range(1, timepoints + 1):
@@ -79,9 +78,8 @@ def phantom_dataset(seed, n_patients=5, timepoints=2, dims=(12, 16, 16)):
             )
             dataset[vid] = (vol, msk)
             entries.append(ManifestEntry(vid, str(p), t, "", ""))
-            counts[vid] = dims[0]
             i += 1
-    return dataset, make_folds(entries, counts)
+    return dataset, make_folds(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def test_training_holds_no_copy_of_the_training_voxels():
     for vid in ("a", "b", "c", "d", "v"):
         vox = rng.random((32, 64, 64), dtype=np.float32)
         dataset[vid] = (Volume(vox), MaskVolume((vox > 0.9).astype(np.uint8)))
-    fold = FoldSpec(0, ["a", "b", "c", "d"], ["v"], [], (128, 32, 0))
+    fold = FoldSpec(0, ["a", "b", "c", "d"], ["v"], [])
     voxel_bytes = sum(dataset[vid][0].voxels.nbytes for vid in fold.train)
     tiny = ModelConfig(num_scales=1, layers_per_dense_block=1, growth_rate=2,
                        first_conv_filters=2, convlstm_hidden=2, dropout_p=0.0)
@@ -407,17 +405,20 @@ def test_evaluate_input_validation():
         evaluate(ckpt, {})
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("MSSEG_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("MSSEG_THREADS", "zero")
-    with pytest.raises(ValueError, match="MSSEG_THREADS"):
-        worker_count()
-    monkeypatch.setenv("MSSEG_THREADS", "0")
-    with pytest.raises(ValueError, match="MSSEG_THREADS"):
-        worker_count()
-    monkeypatch.delenv("MSSEG_THREADS")
-    assert worker_count() >= 1
+def test_evaluate_predicts_on_the_calling_thread(monkeypatch):
+    dataset, folds = phantom_dataset(111)
+    ckpt, _ = run_small(dataset, folds, TrainConfig(epochs=0))
+    threads = []
+
+    def recording(params, vol):
+        threads.append(threading.get_ident())
+        return real(params, vol)
+
+    real = train_module.predict_with_params
+    monkeypatch.setattr(train_module, "predict_with_params", recording)
+    report = evaluate(ckpt, dataset)
+    assert list(report.per_volume) == list(dataset)
+    assert threads == [threading.get_ident()] * len(dataset)
 
 
 # ---------------------------------------------------------------------------
