@@ -10,11 +10,10 @@ topological order, and ``backward`` is a single reversed sweep that pops
 each node as it runs it, freeing the node's closure on the way down. With
 no graph active, operations are pure evaluation and keep no references.
 Both convolution ops, ``conv2d`` and ``conv_transpose2d``, work one sample
-at a time, so their temporaries cover one sample, not the batch, and each
-gathers its operands one way. Every ``conv2d`` product reads one
-zero-padded canvas per sample (``_shifted_taps``); ``conv_transpose2d``'s
-vjp reads back the stride-2 windows its forward scatters into, once per
-sample for both gradients.
+at a time, so their temporaries cover one sample, not the batch. They share
+one backward (``_grads_from_taps``): per sample, one gather of the output
+gradient's taps and two GEMMs, one for each gradient. Only the ``conv2d``
+forward reads the input's zero-padded canvas (``_shifted_taps``).
 Batchnorm and ReLU make the fewest passes over memory they can: eval-mode
 ``batchnorm2d`` is one per-channel scale and shift into its one output,
 its train-mode vjp is built from its own ``gamma`` and ``beta`` gradients,
@@ -410,22 +409,27 @@ def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return res
 
 
-def _shifted_weight_grad(g: np.ndarray, a: np.ndarray, k: int) -> np.ndarray:
-    """Gradient of ``_shifted_correlate(w, a)`` with respect to its (F, C,
-    k, k) kernel, given the output gradient ``g`` (N, F, H, W): for each tap,
-    the sum over samples of g_ext @ tap(i, j).T, where g_ext is the sample's
-    gradient widened to Wp columns by zeros in the junk columns."""
-    _, f, h, wd = g.shape
-    c = a.shape[1]
-    gtaps = np.zeros((k * k, f, c))
-    prod = np.empty((f, c))
-    g_ext = np.zeros((f, h, wd + 2 * (k // 2)))
-    g_flat = g_ext.reshape(f, -1)
-    for s, taps in enumerate(_shifted_taps(a, k)):
-        g_ext[:, :, :wd] = g[s]
+def _grads_from_taps(sample_taps, xd, wmat, f, k, need_x, need_w):
+    """Both gradients of a convolution from its output gradient's taps.
+
+    ``sample_taps`` yields each sample's k*k (F, H, W) output-gradient taps.
+    Per sample they are copied into one reused (F*k*k, H*W) buffer, rows in
+    (f, tap) order; then gx[s] = wmat @ buf and gw += xd[s] @ buf.T. Returns
+    gx as (N, C, H, W) and gw as (C, F*k*k), each None when not needed.
+    """
+    n, c, h, wd = xd.shape
+    gx = np.empty((n, c, h * wd)) if need_x else None
+    gw = np.zeros((c, f * k * k)) if need_w else None
+    buf = np.empty((f * k * k, h * wd))
+    by_tap = buf.reshape(f, k * k, h, wd)
+    for s, taps in enumerate(sample_taps):
         for t, tap in enumerate(taps):
-            gtaps[t] += np.matmul(g_flat, tap.T, out=prod)
-    return np.ascontiguousarray(gtaps.reshape(k, k, f, c).transpose(2, 3, 0, 1))
+            by_tap[:, t] = tap
+        if need_x:
+            np.matmul(wmat, buf, out=gx[s])
+        if need_w:
+            gw += xd[s].reshape(c, -1) @ buf.T
+    return (gx.reshape(n, c, h, wd) if need_x else None), gw
 
 
 def _square_kernel(x: Tensor, w: Tensor, op: str, channel_axis: int) -> int:
@@ -448,19 +452,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
 
-    All three products run one sample at a time and read their operand
-    from one zero-padded canvas per sample (``_shifted_taps``). The forward
-    and the weight gradient are shifted GEMMs over the input's canvas, so no
-    patch matrix of the input is built. The input gradient is the "same"
-    correlation of the output gradient with the kernel rotated 180 degrees
-    and its channel axes swapped: the output gradient's k*k taps, minus
-    their junk columns, are copied into one (F*k*k, H*W) buffer, which has
-    few rows because F is small, and one GEMM reads it.
+    Forward and backward run one sample at a time. The forward is shifted
+    GEMMs over the input's zero-padded canvas (``_shifted_taps``), so no
+    patch matrix of the input is built. Both gradients are correlations with
+    the output gradient, so the backward copies its k*k taps, minus their
+    junk columns, into one small (F*k*k, H*W) buffer per sample, and two
+    GEMMs read it (``_grads_from_taps``): the input gradient's, with the
+    kernel rotated 180 degrees and its channel axes swapped, and the weight
+    gradient's, with the sample.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
         raise ShapeError(f"conv2d needs an odd kernel, got {k}x{k}")
-    n, c, h, wd = x.data.shape
+    _, c, h, wd = x.data.shape
     f = w.data.shape[0]
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
@@ -472,18 +476,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def vjp(go):
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
-        gw = _shifted_weight_grad(go, xd, k) if need_w else None
-        gx = None
-        if need_x:
-            # columns in (f, i, j) order, matching the buffer's rows
-            wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-            gx = np.empty((n, c, h * wd))
-            cols = np.empty((f, k * k, h, wd))
-            for s, taps in enumerate(_shifted_taps(go, k)):
-                for t, tap in enumerate(taps):
-                    cols[:, t] = tap.reshape(f, h, -1)[:, :, :wd]
-                np.matmul(wt, cols.reshape(f * k * k, -1), out=gx[s])
-            gx = gx.reshape(n, c, h, wd)
+        if not (need_x or need_w):
+            return None, None, gb
+        # kernel rotated 180 degrees, channel axes swapped, columns (f, i, j)
+        wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1) if need_x else None
+        sample_taps = (
+            [tap.reshape(f, h, -1)[:, :, :wd] for tap in taps] for taps in _shifted_taps(go, k)
+        )
+        gx, gw = _grads_from_taps(sample_taps, xd, wt, f, k, need_x, need_w)
+        if need_w:
+            # tap (i, j) of the buffer pairs with kernel entry (k-1-i, k-1-j)
+            gw = gw.reshape(c, f, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            gw = np.ascontiguousarray(gw)
         return gx, gw, gb
 
     return _emit(out, (x, w, b), vjp)
@@ -502,7 +506,7 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     into the stride-2 window at offset (i, j). The vjp reads the same
     windows of the output gradient back into such a buffer, which is that
     stride-2 cross-correlation's patch matrix, and both gradients are GEMMs
-    over that one gather.
+    over that one gather (``_grads_from_taps``, as for ``conv2d``).
     """
     k = _square_kernel(x, w, "conv_transpose2d", 0)
     n, c, h, wd = x.data.shape
@@ -523,21 +527,9 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     wshape = w.data.shape
 
     def vjp(go):
-        gx = np.empty((n, c, h * wd)) if need_x else None
-        gw = np.zeros((c, f * k * k)) if need_w else None
-        cols = np.empty((f * k * k, h * wd))
-        taps = cols.reshape(f, k * k, h, wd)
-        for s in range(n):
-            for t, win in enumerate(windows):
-                taps[:, t] = go[s][win]
-            if need_x:
-                np.matmul(wmat, cols, out=gx[s])
-            if need_w:
-                gw += xd[s].reshape(c, -1) @ cols.T
-        return (
-            gx.reshape(n, c, h, wd) if need_x else None,
-            gw.reshape(wshape) if need_w else None,
-        )
+        sample_taps = ([go[s][win] for win in windows] for s in range(n))
+        gx, gw = _grads_from_taps(sample_taps, xd, wmat, f, k, need_x, need_w)
+        return gx, (gw.reshape(wshape) if need_w else None)
 
     return _emit(out, (x, w), vjp)
 

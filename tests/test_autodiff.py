@@ -175,40 +175,38 @@ def _unit_probe(loss_at, shape):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv2d_weight_grad_matches_loop_oracle(n, k):
-    rng = rngmod.stream(35, f"conv-wgrad-{n}-{k}")
-    # 5x4 is non-square; at 2x2 a k > 2 kernel has taps wholly in the padding
-    for h, wd in ((5, 4), (2, 2)):
-        x = rng.standard_normal((n, 2, h, wd))
-        r = rng.standard_normal((n, 3, h, wd))
-        w = Tensor(rng.standard_normal((3, 2, k, k)), requires_grad=True)
-        zero_bias = np.zeros(3)
-        with Graph():
-            loss = sum_all(mul(conv2d(Tensor(x), w, Tensor(zero_bias)), Tensor(r)))
-        backward(loss)
-        want = _unit_probe(
-            lambda u: np.sum(oracles.conv2d_loops(x, u, zero_bias, pad=k // 2) * r), w.shape
-        )
-        np.testing.assert_allclose(w.grad, want, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv2d_input_grad_matches_loop_oracle(n, k):
-    rng = rngmod.stream(36, f"conv-xgrad-{n}-{k}")
-    # at 2x2 and 1x1 a k > H kernel's taps fall wholly in the padding
+def test_conv2d_grads_match_loop_oracle(n, k):
+    rng = rngmod.stream(35, f"conv-grads-{n}-{k}")
+    zero_bias = np.zeros(3)
+    # 5x4 is non-square; at 2x2 and 1x1 a k > H kernel's taps fall wholly
+    # in the padding
     for h, wd in ((5, 4), (2, 2), (1, 1)):
-        x = Tensor(rng.standard_normal((n, 2, h, wd)), requires_grad=True)
-        r = rng.standard_normal((n, 3, h, wd))
+        x = rng.standard_normal((n, 2, h, wd))
         w = rng.standard_normal((3, 2, k, k))
-        zero_bias = np.zeros(3)
-        with Graph():
-            loss = sum_all(mul(conv2d(x, Tensor(w), Tensor(zero_bias)), Tensor(r)))
-        backward(loss)
-        want = _unit_probe(
+        r = rng.standard_normal((n, 3, h, wd))
+        want_x = _unit_probe(
             lambda u: np.sum(oracles.conv2d_loops(u, w, zero_bias, pad=k // 2) * r), x.shape
         )
-        np.testing.assert_allclose(x.grad, want, rtol=0.0, atol=1e-12)
+        want_w = _unit_probe(
+            lambda u: np.sum(oracles.conv2d_loops(x, u, zero_bias, pad=k // 2) * r), w.shape
+        )
+        for need_x, need_w in ((True, True), (True, False), (False, True)):
+            xt, wt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w)
+            with Graph():
+                loss = sum_all(mul(conv2d(xt, wt, Tensor(zero_bias)), Tensor(r)))
+            backward(loss)
+            for t, need, want in ((xt, need_x, want_x), (wt, need_w, want_w)):
+                if need:
+                    np.testing.assert_allclose(t.grad, want, rtol=0.0, atol=1e-12)
+                else:
+                    assert t.grad is None
+        # only the bias asks for a gradient
+        xt, wt, bt = Tensor(x), Tensor(w), Tensor(zero_bias, requires_grad=True)
+        with Graph():
+            loss = sum_all(mul(conv2d(xt, wt, bt), Tensor(r)))
+        backward(loss)
+        assert xt.grad is None and wt.grad is None
+        np.testing.assert_array_equal(bt.grad, r.sum(axis=(0, 2, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -245,8 +243,8 @@ def _conv_transient_case(op):
         w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w, Tensor(np.zeros(12), requires_grad=True)), conv2d
         # one sample's padded canvas is about 1.2x its input, where its 3x3
-        # patch matrix would be 9x; the input gradient's tap buffer holds
-        # the 12-channel output gradient's 9 taps
+        # patch matrix would be 9x; one tap buffer of the 12-channel output
+        # gradient's 9 taps serves both the input and the weight gradient
         bound = 4
     else:
         x = Tensor(rng.standard_normal((4, 48, 16, 16)), requires_grad=True)
