@@ -173,24 +173,26 @@ def _unit_probe(loss_at, shape):
     return want
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_conv2d_grads_match_loop_oracle(n, k):
-    rng = rngmod.stream(35, f"conv-grads-{n}-{k}")
+def _check_conv2d_grads(rng, n, k, needs):
+    """Checks conv2d's input and weight gradients against the loop oracle
+    for each (need_x, need_w) in needs; a gradient not asked for stays None."""
     zero_bias = np.zeros(3)
     # 5x4 is non-square; at 2x2 and 1x1 a k > H kernel's taps fall wholly
     # in the padding
     for h, wd in ((5, 4), (2, 2), (1, 1)):
         x = rng.standard_normal((n, 2, h, wd))
-        w = rng.standard_normal((3, 2, k, k))
         r = rng.standard_normal((n, 3, h, wd))
-        want_x = _unit_probe(
-            lambda u: np.sum(oracles.conv2d_loops(u, w, zero_bias, pad=k // 2) * r), x.shape
-        )
-        want_w = _unit_probe(
-            lambda u: np.sum(oracles.conv2d_loops(x, u, zero_bias, pad=k // 2) * r), w.shape
-        )
-        for need_x, need_w in ((True, True), (True, False), (False, True)):
+        w = rng.standard_normal((3, 2, k, k))
+        want_x = want_w = None
+        if any(need_x for need_x, _ in needs):
+            want_x = _unit_probe(
+                lambda u: np.sum(oracles.conv2d_loops(u, w, zero_bias, pad=k // 2) * r), x.shape
+            )
+        if any(need_w for _, need_w in needs):
+            want_w = _unit_probe(
+                lambda u: np.sum(oracles.conv2d_loops(x, u, zero_bias, pad=k // 2) * r), w.shape
+            )
+        for need_x, need_w in needs:
             xt, wt = Tensor(x, requires_grad=need_x), Tensor(w, requires_grad=need_w)
             with Graph():
                 loss = sum_all(mul(conv2d(xt, wt, Tensor(zero_bias)), Tensor(r)))
@@ -200,13 +202,35 @@ def test_conv2d_grads_match_loop_oracle(n, k):
                     np.testing.assert_allclose(t.grad, want, rtol=0.0, atol=1e-12)
                 else:
                     assert t.grad is None
-        # only the bias asks for a gradient
-        xt, wt, bt = Tensor(x), Tensor(w), Tensor(zero_bias, requires_grad=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_weight_grad_matches_loop_oracle(n, k):
+    # alone, then together with the input gradient
+    needs = ((False, True), (True, True))
+    _check_conv2d_grads(rngmod.stream(35, f"conv-wgrad-{n}-{k}"), n, k, needs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv2d_input_grad_matches_loop_oracle(n, k):
+    _check_conv2d_grads(rngmod.stream(36, f"conv-xgrad-{n}-{k}"), n, k, ((True, False),))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_conv2d_bias_only_grad(k):
+    rng = rngmod.stream(39, f"conv-bgrad-{k}")
+    for h, wd in ((5, 4), (1, 1)):
+        x = Tensor(rng.standard_normal((2, 2, h, wd)))
+        w = Tensor(rng.standard_normal((3, 2, k, k)))
+        b = Tensor(np.zeros(3), requires_grad=True)
+        r = rng.standard_normal((2, 3, h, wd))
         with Graph():
-            loss = sum_all(mul(conv2d(xt, wt, bt), Tensor(r)))
+            loss = sum_all(mul(conv2d(x, w, b), Tensor(r)))
         backward(loss)
-        assert xt.grad is None and wt.grad is None
-        np.testing.assert_array_equal(bt.grad, r.sum(axis=(0, 2, 3)))
+        assert x.grad is None and w.grad is None
+        np.testing.assert_array_equal(b.grad, r.sum(axis=(0, 2, 3)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
