@@ -18,7 +18,7 @@ from . import data as dio
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import TrainConfig, load_config
 from .data import FoldSpec, ManifestEntry, MaskVolume, PhantomSpec, Volume
-from .errors import ConfigError, FileFormatError, ShapeError, TrainingDivergedError
+from .errors import TrainingDivergedError
 from .metrics import confusion, dice
 from .model import ModelConfig, count_params
 from .train import evaluate, predict, run_ablation, train
@@ -112,7 +112,7 @@ def cmd_preprocess(args) -> int:
                 ManifestEntry(e.id, e.patient, e.timepoint, image_name, mask_name)
             )
             summary.append(f"{e.id}\tkept {kept}\tdropped {before - kept}")
-        except (FileFormatError, ShapeError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             failures += 1
             summary.append(f"{e.id}\tfailed: {exc}")
             print(f"error: {e.id}: {exc}", file=sys.stderr)
@@ -335,14 +335,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        ConfigError,
-        FileFormatError,
-        ShapeError,
-        TrainingDivergedError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, TrainingDivergedError, OSError) as exc:
         return _fail(str(exc))
 
 

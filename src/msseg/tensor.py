@@ -14,10 +14,10 @@ at a time, so their temporaries cover one sample, not the batch. They share
 one backward (``_grads_from_taps``): per sample, one gather of the output
 gradient's taps and two GEMMs, one for each gradient. Only the ``conv2d``
 forward reads the input's zero-padded canvas (``_shifted_taps``).
-Batchnorm and ReLU make the fewest passes over memory they can: eval-mode
-``batchnorm2d`` is one per-channel scale and shift into its one output,
-its train-mode vjp is built from its own ``gamma`` and ``beta`` gradients,
-and ``relu`` is one ``np.fmax`` pass.
+Batchnorm and ReLU make the fewest passes over memory they can: both
+``batchnorm2d`` modes write one output array, and its one vjp for both
+modes rebuilds xhat from the input instead of keeping a copy on the tape;
+``relu`` is one ``np.fmax`` pass.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
@@ -375,9 +375,14 @@ def _shifted_taps(a: np.ndarray, k: int):
     is the (C, H*Wp) slice at offset i*Wp + j, whose column y*Wp + x lines
     up with output pixel (y, x). Columns with x >= W are junk. The spare row
     keeps the last tap in bounds. One canvas is reused across samples: only
-    its interior is rewritten, so its border stays zero.
+    its interior is rewritten, so its border stays zero. A 1x1 kernel needs
+    no padding, so its one tap is the sample itself and no canvas is built.
     """
     n, c, h, w = a.shape
+    if k == 1:
+        for s in range(n):
+            yield [a[s].reshape(c, -1)]
+        return
     pad = k // 2
     wp = w + 2 * pad
     padded = np.zeros((c, h + 2 * pad + 1, wp))
@@ -555,12 +560,13 @@ def batchnorm2d(
     Eval mode normalizes with the buffers and treats them as constants. In
     both modes the buffers are not inputs of the recorded node.
 
-    Eval mode is one per-channel affine map, (x - mean) * (gamma * inv_std)
-    + beta, computed in its one output array; its vjp rebuilds xhat from x
-    only when a graph runs it. Train mode turns the centred copy of x into
-    xhat in place and takes the variance as a per-channel sum of squares.
-    Its vjp reuses its own parameter gradients, ggamma = sum(go * xhat) and
-    gbeta = sum(go): gx = gamma * inv_std * (go - (gbeta + xhat * ggamma) / m).
+    Both modes write one output array: eval mode's is one per-channel
+    affine map; train mode takes the variance from a centred copy of x and
+    scales that copy in place by inv_std, then gamma. One vjp serves both.
+    Instead of keeping xhat it rebuilds xhat = (x - mean) * inv_std from x
+    with the forward's own ops, takes ggamma = sum(go * xhat) and gbeta =
+    sum(go), and writes gx into xhat's buffer: go * gamma * inv_std in eval
+    mode, gamma * inv_std * (go - (gbeta + xhat * ggamma) / m) in train.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm2d mode must be 'train' or 'eval', got {mode!r}")
@@ -572,6 +578,8 @@ def batchnorm2d(
             f"batchnorm2d gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}"
         )
     m = n * h * w
+    if mode == "train" and m < 2:
+        raise ShapeError(f"batchnorm2d train mode needs at least 2 values per channel, got {m}")
     xd, gdata, need_x = x.data, gamma.data, x.requires_grad
     if mode == "eval":
         mean = running_mean.data
@@ -579,43 +587,39 @@ def batchnorm2d(
         scale = (gdata * inv_std)[None, :, None, None]
         out = np.subtract(xd, mean[None, :, None, None])
         out *= scale
-        out += beta.data[None, :, None, None]
-
-        def eval_vjp(go):
-            xhat = np.subtract(xd, mean[None, :, None, None])
-            xhat *= inv_std[None, :, None, None]
-            gx = go * scale if need_x else None
-            return gx, _channel_dot(go, xhat), go.sum(axis=(0, 2, 3))
-
-        return _emit(out, (x, gamma, beta), eval_vjp)
-
-    if m < 2:
-        raise ShapeError(f"batchnorm2d train mode needs at least 2 values per channel, got {m}")
-    mean = xd.mean(axis=(0, 2, 3))
-    # the centred copy becomes xhat in place; nothing reads it centred again
-    xhat = np.subtract(xd, mean[None, :, None, None])
-    var = _channel_dot(xhat, xhat) / m
-    unbiased = var * (m / (m - 1))
-    running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
-    running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * unbiased
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std[None, :, None, None]
-    out = xhat * gdata[None, :, None, None]
+    else:
+        mean = xd.mean(axis=(0, 2, 3))
+        out = np.subtract(xd, mean[None, :, None, None])
+        var = _channel_dot(out, out) / m
+        unbiased = var * (m / (m - 1))
+        running_mean.data = (1.0 - BN_MOMENTUM) * running_mean.data + BN_MOMENTUM * mean
+        running_var.data = (1.0 - BN_MOMENTUM) * running_var.data + BN_MOMENTUM * unbiased
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        scale = (gdata * inv_std)[None, :, None, None]
+        # two multiplies, not one by scale, so out is exactly xhat * gamma +
+        # beta for the xhat the vjp rebuilds
+        out *= inv_std[None, :, None, None]
+        out *= gdata[None, :, None, None]
     out += beta.data[None, :, None, None]
 
-    def train_vjp(go):
+    def vjp(go):
+        xhat = np.subtract(xd, mean[None, :, None, None])
+        xhat *= inv_std[None, :, None, None]
         ggamma = _channel_dot(go, xhat)
         gbeta = go.sum(axis=(0, 2, 3))
-        gx = None
-        if need_x:
-            # go is never written: add's vjp hands one array to both inputs
-            gx = xhat * (-ggamma / m)[None, :, None, None]
-            gx += go
-            gx -= (gbeta / m)[None, :, None, None]
-            gx *= (gdata * inv_std)[None, :, None, None]
-        return gx, ggamma, gbeta
+        if not need_x:
+            return None, ggamma, gbeta
+        # xhat's buffer becomes gx; go is never written, since add's vjp
+        # hands one array to both inputs
+        if mode == "eval":
+            return np.multiply(go, scale, out=xhat), ggamma, gbeta
+        xhat *= (-ggamma / m)[None, :, None, None]
+        xhat += go
+        xhat -= (gbeta / m)[None, :, None, None]
+        xhat *= scale
+        return xhat, ggamma, gbeta
 
-    return _emit(out, (x, gamma, beta), train_vjp)
+    return _emit(out, (x, gamma, beta), vjp)
 
 
 def _channel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -310,10 +310,11 @@ def test_conv2d_backward_transient_covers_one_sample(op):
     assert peak - held < bound
 
 
-# eval writes one output array and train adds xhat; the train backward holds
-# the output gradient and the input gradient, with no full-size product
+# both modes' forward writes one output array; the train backward holds the
+# output gradient and the rebuilt xhat, which becomes the input gradient in
+# place, with no full-size product
 @pytest.mark.parametrize(
-    "case, bound", [("eval forward", 1.25), ("train forward", 2.25), ("train backward", 2.25)]
+    "case, bound", [("eval forward", 1.25), ("train forward", 1.25), ("train backward", 2.25)]
 )
 def test_batchnorm_transient_in_inputs(case, bound):
     """tracemalloc peak of one batchnorm2d step on a (4, 48, 32, 32) input,
@@ -341,6 +342,26 @@ def test_batchnorm_transient_in_inputs(case, bound):
     finally:
         tracemalloc.stop()
     assert peak / x.data.nbytes < bound
+
+
+def test_batchnorm_train_keeps_no_xhat():
+    rng = rngmod.stream(40, "bn-retained")
+    x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
+    gamma = Tensor(rng.random(48) + 0.5, requires_grad=True)
+    beta = Tensor(rng.standard_normal(48), requires_grad=True)
+    rmean, rvar = Tensor(np.zeros(48)), Tensor(np.ones(48))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with Graph():
+            out = batchnorm2d(x, gamma, beta, rmean, rvar, "train")
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the vjp rebuilds xhat from x, so only the output stays; a kept xhat
+    # would add a whole input
+    assert out.data.nbytes == x.data.nbytes
+    assert (retained - out.data.nbytes) / x.data.nbytes < 0.25
 
 
 def test_mul_backward_skips_constant_input():
@@ -484,19 +505,27 @@ def test_batchnorm_grads_match_textbook_oracle(mode):
     ]
     for shape in shapes:
         c = shape[1]
-        x = Tensor(_rand(rng, *shape) * 3.0 + 1.0, requires_grad=True)
-        gamma = Tensor(_rand(rng, c), requires_grad=True)
-        beta = Tensor(_rand(rng, c), requires_grad=True)
+        xd = _rand(rng, *shape) * 3.0 + 1.0
+        gd, bd = _rand(rng, c), _rand(rng, c)
         go = _rand(rng, *shape)
         rm, rv = _rand(rng, c), rng.random(c) + 0.5
-        with Graph():
-            out = batchnorm2d(x, gamma, beta, Tensor(rm.copy()), Tensor(rv.copy()), mode)
-            loss = sum_all(mul(out, Tensor(go)))
-        backward(loss)
         stats = (None, None) if mode == "train" else (rm, rv)
-        want = oracles.batchnorm_grads_textbook(x.data, gamma.data, go, *stats)
-        for got, ref in zip((x.grad, gamma.grad, beta.grad), want):
-            assert oracles.rel_err(got, ref) < 1e-12, shape
+        want = oracles.batchnorm_grads_textbook(xd, gd, go, *stats)
+        # a constant x gets no gradient and leaves gamma's and beta's as they are
+        for need_x in (True, False):
+            x = Tensor(xd, requires_grad=need_x)
+            gamma = Tensor(gd, requires_grad=True)
+            beta = Tensor(bd, requires_grad=True)
+            with Graph():
+                out = batchnorm2d(x, gamma, beta, Tensor(rm.copy()), Tensor(rv.copy()), mode)
+                loss = sum_all(mul(out, Tensor(go)))
+            backward(loss)
+            if need_x:
+                assert oracles.rel_err(x.grad, want[0]) < 1e-12, shape
+            else:
+                assert x.grad is None
+            for got, ref in zip((gamma.grad, beta.grad), want[1:]):
+                assert oracles.rel_err(got, ref) < 1e-12, (shape, need_x)
 
 
 def test_grad_activations():
