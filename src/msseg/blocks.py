@@ -114,16 +114,17 @@ def dense_layer(x: Tensor, p: DenseLayerParams, mode: str, rng=None) -> Tensor:
     return dropout2d(h, p.dropout_p, mode, rng)
 
 
-@dataclass
-class DenseBlockParams:
-    layers: list  # of DenseLayerParams
+class DenseBlockParams(list):
+    """A dense block's layers (DenseLayerParams), which must form a ladder:
+    layer i reads the block input plus i earlier outputs of one growth rate."""
 
-    def __post_init__(self):
-        if not self.layers:
+    def __init__(self, layers):
+        super().__init__(layers)
+        if not self:
             raise ShapeError("dense block needs at least one layer")
-        base = self.layers[0].conv.in_channels
-        growth = self.layers[0].conv.out_channels
-        for i, lay in enumerate(self.layers):
+        base = self[0].conv.in_channels
+        growth = self[0].conv.out_channels
+        for i, lay in enumerate(self):
             want_in = base + i * growth
             if lay.conv.in_channels != want_in or lay.conv.out_channels != growth:
                 raise ShapeError(
@@ -142,11 +143,11 @@ def dense_block(x: Tensor, p: DenseBlockParams, mode: str, rng=None) -> Tensor:
     """Each layer reads the concat of the input and all previous outputs.
 
     The block output concatenates only the layer outputs (the dense-path
-    convention): len(layers) * growth channels.
+    convention): len(p) * growth channels.
     """
     feed = x
     outputs = []
-    for lay in p.layers:
+    for lay in p:
         y = dense_layer(feed, lay, mode, rng)
         outputs.append(y)
         feed = concat_channels([feed, y])
@@ -207,8 +208,8 @@ def conv_block(x: Tensor, p: ConvBlockParams, mode: str) -> Tensor:
 class SABlockParams:
     """Squeeze-attention: 2x2-pooled conv_block pair, upsampled x2, gate plus add."""
 
-    attn_conv1: ConvBlockParams
-    attn_conv2: ConvBlockParams
+    attn1: ConvBlockParams
+    attn2: ConvBlockParams
 
     @classmethod
     def create(cls, rng, channels: int) -> "SABlockParams":
@@ -221,8 +222,8 @@ class SABlockParams:
 def sa_block(x: Tensor, p: SABlockParams, mode: str) -> Tensor:
     """y = x * a + a with a = upsample(conv_block2(conv_block1(avgpool(x))))."""
     a = avgpool2d(x)
-    a = conv_block(a, p.attn_conv1, mode)
-    a = conv_block(a, p.attn_conv2, mode)
+    a = conv_block(a, p.attn1, mode)
+    a = conv_block(a, p.attn2, mode)
     a = upsample_nearest(a)
     return mul(x, a) + a
 
@@ -231,10 +232,10 @@ def sa_block(x: Tensor, p: SABlockParams, mode: str) -> Tensor:
 class ConvLSTMParams:
     """Four gate convolutions, each (in_ch + hidden) -> hidden, 3x3 pad 1."""
 
-    input_gate: ConvParams
-    forget_gate: ConvParams
-    cell_gate: ConvParams
-    output_gate: ConvParams
+    input: ConvParams
+    forget: ConvParams
+    cell: ConvParams
+    output: ConvParams
 
     @classmethod
     def create(cls, rng, in_ch: int, hidden: int) -> "ConvLSTMParams":
@@ -245,7 +246,7 @@ class ConvLSTMParams:
 
     @property
     def hidden(self) -> int:
-        return self.input_gate.out_channels
+        return self.input.out_channels
 
 
 def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLSTMParams):
@@ -256,10 +257,10 @@ def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLSTMParams
             f"convlstm step: spatial dims disagree, x {x_t.shape}, h {h_prev.shape}, c {c_prev.shape}"
         )
     xh = concat_channels([x_t, h_prev])
-    i = sigmoid(conv2d(xh, p.input_gate.w, p.input_gate.b))
-    f = sigmoid(conv2d(xh, p.forget_gate.w, p.forget_gate.b))
-    g = tanh(conv2d(xh, p.cell_gate.w, p.cell_gate.b))
-    o = sigmoid(conv2d(xh, p.output_gate.w, p.output_gate.b))
+    i = sigmoid(conv2d(xh, p.input.w, p.input.b))
+    f = sigmoid(conv2d(xh, p.forget.w, p.forget.b))
+    g = tanh(conv2d(xh, p.cell.w, p.cell.b))
+    o = sigmoid(conv2d(xh, p.output.w, p.output.b))
     c_t = mul(f, c_prev) + mul(i, g)
     h_t = mul(o, tanh(c_t))
     return h_t, c_t

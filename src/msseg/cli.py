@@ -92,6 +92,8 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_preprocess(args) -> int:
+    if args.target < 1:
+        raise ValueError(f"target must be at least 1, got {args.target}")
     entries = dio.parse_manifest(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     failures = 0

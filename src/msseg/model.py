@@ -18,12 +18,17 @@ construction. Nothing in ``encode`` mixes samples in eval mode, so a
 slice's features are the same in every triplet that holds it; volume
 inference (``train.predict_with_params``) therefore encodes each slice
 once and decodes every triplet from those features.
+
+``ModelParams`` holds the parameters in the same layout (``stem``,
+``downsampling``, ``bottleneck``, ``upsampling``, ``head``). A tensor's
+dotted field path, such as ``downsampling.0.sa.attn1.bn1.gamma``, is its
+checkpoint record name, so renaming a field renames its records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -98,13 +103,18 @@ class DecoderScaleParams:
 
 
 @dataclass
+class BottleneckParams:
+    dense: DenseBlockParams
+    lstm: Optional[ConvLSTMParams]
+
+
+@dataclass
 class ModelParams:
     cfg: ModelConfig
     stem: ConvParams
-    encoder: list
-    bottleneck: DenseBlockParams
-    lstm: Optional[ConvLSTMParams]
-    decoder: list
+    downsampling: list  # of EncoderScaleParams
+    bottleneck: BottleneckParams
+    upsampling: list  # of DecoderScaleParams
     head: ConvParams
 
 
@@ -122,7 +132,7 @@ def build_model(cfg: ModelConfig) -> ModelParams:
 
     stem = ConvParams.create(rng, 1, cfg.first_conv_filters, 3)
     c = cfg.first_conv_filters
-    encoder = []
+    downsampling = []
     skip_channels = []
     for _ in range(cfg.num_scales):
         dense = DenseBlockParams.create(rng, c, nl, g, cfg.dropout_p)
@@ -131,21 +141,23 @@ def build_model(cfg: ModelConfig) -> ModelParams:
         down = DenseLayerParams(
             BatchNormParams.create(skip), ConvParams.create(rng, skip, skip, 1), cfg.dropout_p
         )
-        encoder.append(EncoderScaleParams(dense, sa, down))
+        downsampling.append(EncoderScaleParams(dense, sa, down))
         skip_channels.append(skip)
         c = skip
 
-    bottleneck = DenseBlockParams.create(rng, c, nl, g, cfg.dropout_p)
-    lstm = ConvLSTMParams.create(rng, block_out, cfg.convlstm_hidden) if cfg.use_clstm else None
+    bottleneck = BottleneckParams(
+        DenseBlockParams.create(rng, c, nl, g, cfg.dropout_p),
+        ConvLSTMParams.create(rng, block_out, cfg.convlstm_hidden) if cfg.use_clstm else None,
+    )
 
     stream = cfg.convlstm_hidden if cfg.use_clstm else block_out
-    decoder = []
+    upsampling = []
     for j in range(cfg.num_scales):
         up = TransitionUpParams.create(rng, stream)
         concat_ch = stream + skip_channels[cfg.num_scales - 1 - j]
         dense = DenseBlockParams.create(rng, concat_ch, nl, g, cfg.dropout_p)
         sa = SABlockParams.create(rng, block_out) if cfg.use_sa else None
-        decoder.append(DecoderScaleParams(up, dense, sa))
+        upsampling.append(DecoderScaleParams(up, dense, sa))
         stream = block_out
 
     # two output channels: background, lesion
@@ -155,74 +167,34 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     # of training is spent suppressing the foreground map globally, which
     # plain SGD tends to overshoot into a saturated all-background state.
     head.b.data[1] = math.log(FOREGROUND_PRIOR / (1.0 - FOREGROUND_PRIOR))
-    params = ModelParams(cfg, stem, encoder, bottleneck, lstm, decoder, head)
-    for name, tensor in _named_arrays(params):
-        tensor.name = name
-    return params
+    return ModelParams(cfg, stem, downsampling, bottleneck, upsampling, head)
 
 
 # ---------------------------------------------------------------------------
 # parameter tree traversal
 
 
-def _dense_sites(prefix, p: DenseBlockParams):
-    for i, lay in enumerate(p.layers):
-        yield f"{prefix}.{i}.bn", lay.bn
-        yield f"{prefix}.{i}.conv", lay.conv
-
-
-def _sa_sites(prefix, p: SABlockParams):
-    for name, block in (("attn1", p.attn_conv1), ("attn2", p.attn_conv2)):
-        yield f"{prefix}.{name}.conv1", block.conv1
-        yield f"{prefix}.{name}.bn1", block.bn1
-        yield f"{prefix}.{name}.conv2", block.conv2
-        yield f"{prefix}.{name}.bn2", block.bn2
-
-
-def _sites(params: ModelParams):
-    """Every ConvParams, BatchNormParams and bare weight Tensor with its
-    tree name, in build order. The one place that knows the tree layout."""
-    yield "stem", params.stem
-    for i, sc in enumerate(params.encoder):
-        yield from _dense_sites(f"downsampling.{i}.dense", sc.dense)
-        if sc.sa is not None:
-            yield from _sa_sites(f"downsampling.{i}.sa", sc.sa)
-        yield f"downsampling.{i}.down.bn", sc.down.bn
-        yield f"downsampling.{i}.down.conv", sc.down.conv
-    yield from _dense_sites("bottleneck.dense", params.bottleneck)
-    if params.lstm is not None:
-        lstm = params.lstm
-        yield "bottleneck.lstm.input", lstm.input_gate
-        yield "bottleneck.lstm.forget", lstm.forget_gate
-        yield "bottleneck.lstm.cell", lstm.cell_gate
-        yield "bottleneck.lstm.output", lstm.output_gate
-    for j, sc in enumerate(params.decoder):
-        yield f"upsampling.{j}.up.w", sc.up.w
-        yield from _dense_sites(f"upsampling.{j}.dense", sc.dense)
-        if sc.sa is not None:
-            yield from _sa_sites(f"upsampling.{j}.sa", sc.sa)
-    yield "head", params.head
+def _tree_tensors(node, path: tuple = ()):
+    """Every Tensor under ``node`` with its dotted path: dataclass fields in
+    declaration order, list entries by index. Other values hold none."""
+    if isinstance(node, Tensor):
+        yield ".".join(path), node
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _tree_tensors(child, path + (str(i),))
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _tree_tensors(getattr(node, f.name), path + (f.name,))
 
 
 def named_tensors(params: ModelParams):
-    """Every trainable tensor with its unique tree name, in build order."""
-    for prefix, site in _sites(params):
-        if isinstance(site, ConvParams):
-            yield prefix + ".w", site.w
-            yield prefix + ".b", site.b
-        elif isinstance(site, BatchNormParams):
-            yield prefix + ".gamma", site.gamma
-            yield prefix + ".beta", site.beta
-        else:
-            yield prefix, site
+    """Every trainable tensor with its tree path, in build order."""
+    return ((name, t) for name, t in _tree_tensors(params) if t.requires_grad)
 
 
 def named_buffers(params: ModelParams):
-    """Every BN running statistic with its unique tree name, in build order."""
-    for prefix, site in _sites(params):
-        if isinstance(site, BatchNormParams):
-            yield prefix + ".running_mean", site.running_mean
-            yield prefix + ".running_var", site.running_var
+    """Every BN running statistic with its tree path, in build order."""
+    return ((name, t) for name, t in _tree_tensors(params) if not t.requires_grad)
 
 
 def _named_arrays(params: ModelParams):
@@ -340,26 +312,53 @@ def count_params(cfg: ModelConfig) -> dict:
 # forward
 
 
+def _require_divisible(cfg: ModelConfig, h: int, w: int) -> None:
+    div = 1 << cfg.num_scales
+    if h % div or w % div:
+        raise ShapeError(
+            f"spatial extents must be divisible by 2^num_scales = 2^{cfg.num_scales} = {div}, "
+            f"got {h}x{w}"
+        )
+
+
+def require_trainable(cfg: ModelConfig, crop: tuple, batch_size: int, n_samples: int) -> None:
+    """Refuse, before the first step, a training job whose steps cannot run.
+
+    The crop must divide by 2^num_scales, as ``encode`` requires. With
+    squeeze attention, the first decoder scale's attention branch pools to
+    the bottleneck's (H/2^S, W/2^S) map, and its train-mode batchnorm needs
+    2 values per channel from the epoch's smallest batch. Every other
+    batchnorm sees at least 3 once the crop divides.
+    """
+    cfg.validate()
+    h, w = crop
+    _require_divisible(cfg, h, w)
+    div = 1 << cfg.num_scales
+    smallest = n_samples % batch_size or batch_size
+    if cfg.use_sa and smallest * (h // div) * (w // div) < 2:
+        raise ShapeError(
+            f"a batch of {smallest} {h}x{w} slices leaves a squeeze-attention batchnorm "
+            f"one value per channel at num_scales = {cfg.num_scales}, and it needs 2: the "
+            f"epoch's smallest batch holds {smallest} of {n_samples} samples at batch_size = "
+            f"{batch_size}; raise batch_size, lower num_scales or set use_sa = false"
+        )
+
+
 def encode(params: ModelParams, x: Tensor, mode: str, rng=None) -> tuple[list, Tensor]:
     """Map slices (N, 1, H, W) to their per-scale skip tensors, shallowest
     first, and the bottleneck dense-block output."""
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise ShapeError(f"encode expects (N, 1, H, W) slices, got {x.shape}")
-    h, w = x.data.shape[2:]
-    div = 1 << params.cfg.num_scales
-    if h % div or w % div:
-        raise ShapeError(
-            f"spatial extents must be divisible by 2^{params.cfg.num_scales} = {div}, got {h}x{w}"
-        )
+    _require_divisible(params.cfg, *x.data.shape[2:])
     stream = conv2d(x, params.stem.w, params.stem.b)
     skips = []
-    for sc in params.encoder:
+    for sc in params.downsampling:
         d = dense_block(stream, sc.dense, mode, rng)
         sk = concat_channels([stream, d])
         skips.append(sk)
         gated = sa_block(sk, sc.sa, mode) if sc.sa is not None else sk
         stream = transition_down(gated, sc.down, mode, rng)
-    return skips, dense_block(stream, params.bottleneck, mode, rng)
+    return skips, dense_block(stream, params.bottleneck.dense, mode, rng)
 
 
 def decode(params: ModelParams, center_skips: list, steps: list, mode: str, rng=None) -> Tensor:
@@ -371,11 +370,11 @@ def decode(params: ModelParams, center_skips: list, steps: list, mode: str, rng=
     in order (previous, center, next). Without the ConvLSTM only the
     middle step is read, so a caller may pass the center step alone.
     """
-    if params.lstm is not None:
-        u = convlstm_forward(steps, params.lstm)
+    if params.bottleneck.lstm is not None:
+        u = convlstm_forward(steps, params.bottleneck.lstm)
     else:
         u = steps[len(steps) // 2]
-    for sc, skip in zip(params.decoder, reversed(center_skips)):
+    for sc, skip in zip(params.upsampling, reversed(center_skips)):
         u = transition_up(u, sc.up)
         u = concat_channels([u, skip])
         u = dense_block(u, sc.dense, mode, rng)
@@ -405,7 +404,7 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
     skips, db = encode(params, x, mode, rng)
     center_skips = [slice_batch(sk, b, 2 * b) for sk in skips]
     # without the ConvLSTM, decode reads the center step only
-    ks = range(3) if params.lstm is not None else (1,)
+    ks = range(3) if params.bottleneck.lstm is not None else (1,)
     steps = [slice_batch(db, k * b, (k + 1) * b) for k in ks]
     return decode(params, center_skips, steps, mode, rng)
 

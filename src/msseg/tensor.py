@@ -77,14 +77,13 @@ class Graph:
 class Tensor:
     """A float64 array with an optional gradient of the same shape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "graph", "name")
+    __slots__ = ("data", "grad", "requires_grad", "graph")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.graph: Optional[Graph] = None
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,8 +95,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        label = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad}{label})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # arithmetic sugar; the named functions below do the real work
     def __add__(self, other):

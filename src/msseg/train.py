@@ -28,6 +28,7 @@ from .model import (
     encode,
     forward,
     named_tensors,
+    require_trainable,
 )
 from .tensor import Graph, Tensor, backward, sgd_step, slice_channels, sum_all
 
@@ -171,6 +172,8 @@ def train(
     _require_ids(fold.train, dataset, "training")
     _require_ids(fold.val, dataset, "validation")
     samples = _slice_samples(fold.train, dataset)
+    crop = dataset[fold.train[0]][0].dims[1:]
+    require_trainable(mcfg, crop, tcfg.batch_size, len(samples))
     params = build_model(mcfg)
 
     shuffle_rng = rngmod.stream(tcfg.seed, "train-shuffle")
@@ -232,10 +235,15 @@ def run_ablation(
     """
     if not folds:
         raise ValueError("ablation needs at least one fold")
+    tcfg.validate()
     for fold in folds:
         _require_ids(fold.train, dataset, "training")
         _require_ids(fold.val, dataset, "validation")
         _require_ids(fold.test, dataset, "test")
+        n_samples = len(_slice_samples(fold.train, dataset))
+        crop = dataset[fold.train[0]][0].dims[1:]
+        for variant in ablation_variants(base):
+            require_trainable(variant, crop, tcfg.batch_size, n_samples)
     rows = []
     for label, variant in zip(ABLATION_LABELS, ablation_variants(base)):
         cells = []

@@ -284,7 +284,7 @@ def _block_instances(rng, i):
     )
 
     db = DenseBlockParams.create(rng, 2, 2, 2, 0.0)
-    db_t = [t for lay in db.layers for t in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
+    db_t = [t for lay in db for t in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
     cases.append(("dense_block", lambda: projected(dense_block(x, db, "train"), i), [x] + db_t))
 
     td = DenseLayerParams(BatchNormParams.create(2), ConvParams.create(rng, 2, 2, 1), 0.0)
@@ -305,7 +305,7 @@ def _block_instances(rng, i):
 
     sa = SABlockParams.create(rng, 2)
     sa_t = []
-    for blk in (sa.attn_conv1, sa.attn_conv2):
+    for blk in (sa.attn1, sa.attn2):
         sa_t.extend(
             [
                 blk.conv1.w, blk.conv1.b, blk.bn1.gamma, blk.bn1.beta,
@@ -316,7 +316,7 @@ def _block_instances(rng, i):
 
     lp = ConvLSTMParams.create(rng, 2, 2)
     lp_t = []
-    for gate in (lp.input_gate, lp.forget_gate, lp.cell_gate, lp.output_gate):
+    for gate in (lp.input, lp.forget, lp.cell, lp.output):
         lp_t.extend([gate.w, gate.b])
     h0 = leaf(rng, (2, 2, 4, 4))
     c0 = leaf(rng, (2, 2, 4, 4))

@@ -388,13 +388,13 @@ def test_mul_backward_skips_constant_input():
 
 
 def test_sgd_basic_steps():
-    p = Tensor(np.array([1.0]), requires_grad=True, name="p")
+    p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.array([1.0])
     sgd_step([("p", p)], lr=0.1, weight_decay=0.0)
     np.testing.assert_allclose(p.data, [0.9])
     assert p.grad is None
 
-    q = Tensor(np.array([1.0]), requires_grad=True, name="q")
+    q = Tensor(np.array([1.0]), requires_grad=True)
     q.grad = np.array([0.0])
     sgd_step([("q", q)], lr=0.1, weight_decay=1e-4)
     np.testing.assert_allclose(q.data, [0.99999])

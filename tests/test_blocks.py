@@ -96,7 +96,7 @@ def test_dense_block_channel_accounting():
 def test_dense_block_zero_convs_ignore_input():
     rng = rngmod.stream(54, "db0")
     p = DenseBlockParams.create(rng, 2, 3, 2, 0.0)
-    for lay in p.layers:
+    for lay in p:
         zero_conv(lay.conv)
     a = dense_block(t(rng.standard_normal((1, 2, 4, 4))), p, "eval").data
     b = dense_block(t(rng.standard_normal((1, 2, 4, 4))), p, "eval").data
@@ -113,9 +113,9 @@ def test_dense_block_matches_hand_unrolled_two_layers():
 
     got = dense_block(x, p, "eval").data
 
-    y0 = dense_layer(x, p.layers[0], "eval")
+    y0 = dense_layer(x, p[0], "eval")
     feed1 = concat_channels([x, y0])
-    y1 = dense_layer(feed1, p.layers[1], "eval")
+    y1 = dense_layer(feed1, p[1], "eval")
     want = np.concatenate([y0.data, y1.data], axis=1)
     np.testing.assert_array_equal(got, want)
 
@@ -134,7 +134,7 @@ def test_dense_block_gradcheck():
     x = rng.standard_normal((2, 2, 4, 4))
     arrays = [x]
     slots = []
-    for lay in p.layers:
+    for lay in p:
         for tens in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b):
             arrays.append(tens.data.copy())
             slots.append(tens)
@@ -273,7 +273,7 @@ def test_conv_block_gradcheck():
 
 def zeroed_sa(rng, channels):
     p = SABlockParams.create(rng, channels)
-    for cb in (p.attn_conv1, p.attn_conv2):
+    for cb in (p.attn1, p.attn2):
         zero_conv(cb.conv1)
         zero_conv(cb.conv2)
         cb.bn1.beta.data[:] = 0.0
@@ -293,7 +293,7 @@ def test_sa_block_unit_attention_adds_one():
     rng = rngmod.stream(68, "sa1")
     p = zeroed_sa(rng, 2)
     # last stage: bn2 beta 1 -> relu(1) = 1 everywhere
-    p.attn_conv2.bn2.beta.data[:] = 1.0
+    p.attn2.bn2.beta.data[:] = 1.0
     x = t(rngmod.stream(68, "sa1-x").standard_normal((1, 2, 6, 6)))
     out = sa_block(x, p, "eval")
     np.testing.assert_allclose(out.data, x.data + 1.0, atol=1e-12)
@@ -306,8 +306,8 @@ def test_sa_block_matches_scalar_combine_oracle():
     p = SABlockParams.create(rng, 3)
     x = t(rng.standard_normal((2, 3, 4, 4)))
     a = avgpool2d(x)
-    a = conv_block(a, p.attn_conv1, "eval")
-    a = conv_block(a, p.attn_conv2, "eval")
+    a = conv_block(a, p.attn1, "eval")
+    a = conv_block(a, p.attn2, "eval")
     a = upsample_nearest(a)
 
     got = sa_block(x, p, "eval").data
@@ -329,10 +329,10 @@ def test_sa_block_gradcheck():
     p = SABlockParams.create(rng, 1)
     x = rng.standard_normal((1, 1, 4, 4))
     tensors = [
-        p.attn_conv1.conv1.w, p.attn_conv1.conv1.b, p.attn_conv1.bn1.gamma, p.attn_conv1.bn1.beta,
-        p.attn_conv1.conv2.w, p.attn_conv1.conv2.b, p.attn_conv1.bn2.gamma, p.attn_conv1.bn2.beta,
-        p.attn_conv2.conv1.w, p.attn_conv2.conv1.b, p.attn_conv2.bn1.gamma, p.attn_conv2.bn1.beta,
-        p.attn_conv2.conv2.w, p.attn_conv2.conv2.b, p.attn_conv2.bn2.gamma, p.attn_conv2.bn2.beta,
+        p.attn1.conv1.w, p.attn1.conv1.b, p.attn1.bn1.gamma, p.attn1.bn1.beta,
+        p.attn1.conv2.w, p.attn1.conv2.b, p.attn1.bn2.gamma, p.attn1.bn2.beta,
+        p.attn2.conv1.w, p.attn2.conv1.b, p.attn2.bn1.gamma, p.attn2.bn1.beta,
+        p.attn2.conv2.w, p.attn2.conv2.b, p.attn2.bn2.gamma, p.attn2.bn2.beta,
     ]
     arrays = [x] + [q.data.copy() for q in tensors]
 
@@ -359,7 +359,7 @@ def test_sa_block_gradcheck():
 def test_convlstm_zero_weights_zero_state():
     rng = rngmod.stream(73, "lstm0")
     p = ConvLSTMParams.create(rng, 2, 3)
-    for gate in (p.input_gate, p.forget_gate, p.cell_gate, p.output_gate):
+    for gate in (p.input, p.forget, p.cell, p.output):
         zero_conv(gate)
     x = t(rng.standard_normal((1, 2, 4, 4)))
     h0 = t(np.zeros((1, 3, 4, 4)))
@@ -372,17 +372,17 @@ def test_convlstm_zero_weights_zero_state():
 def test_convlstm_forget_bias_initialized_to_one():
     rng = rngmod.stream(74, "lstm-bias")
     p = ConvLSTMParams.create(rng, 2, 3)
-    np.testing.assert_array_equal(p.forget_gate.b.data, 1.0)
-    np.testing.assert_array_equal(p.input_gate.b.data, 0.0)
-    np.testing.assert_array_equal(p.cell_gate.b.data, 0.0)
-    np.testing.assert_array_equal(p.output_gate.b.data, 0.0)
+    np.testing.assert_array_equal(p.forget.b.data, 1.0)
+    np.testing.assert_array_equal(p.input.b.data, 0.0)
+    np.testing.assert_array_equal(p.cell.b.data, 0.0)
+    np.testing.assert_array_equal(p.output.b.data, 0.0)
 
 
 def test_convlstm_saturated_forget_gate_keeps_cell():
     rng = rngmod.stream(75, "lstm-sat")
     p = ConvLSTMParams.create(rng, 1, 2)
-    p.forget_gate.w.data[:] = 0.0
-    p.forget_gate.b.data[:] = 20.0  # sigmoid(20) within 1e-6 of 1
+    p.forget.w.data[:] = 0.0
+    p.forget.b.data[:] = 20.0  # sigmoid(20) within 1e-6 of 1
     x = t(rng.standard_normal((1, 1, 3, 3)) * 0.1)
     h0 = t(np.zeros((1, 2, 3, 3)))
     c0 = t(rng.standard_normal((1, 2, 3, 3)))
@@ -391,11 +391,11 @@ def test_convlstm_saturated_forget_gate_keeps_cell():
 
     xh = np.concatenate([x.data, h0.data], axis=1)
     i = oracles.conv2d_loops(
-        np.pad(xh, ((0, 0), (0, 0), (1, 1), (1, 1))), p.input_gate.w.data, p.input_gate.b.data
+        np.pad(xh, ((0, 0), (0, 0), (1, 1), (1, 1))), p.input.w.data, p.input.b.data
     )
     i = 1.0 / (1.0 + np.exp(-i))
     g = oracles.conv2d_loops(
-        np.pad(xh, ((0, 0), (0, 0), (1, 1), (1, 1))), p.cell_gate.w.data, p.cell_gate.b.data
+        np.pad(xh, ((0, 0), (0, 0), (1, 1), (1, 1))), p.cell.w.data, p.cell.b.data
     )
     g = np.tanh(g)
     want = c0.data + i * g
@@ -420,10 +420,10 @@ def test_convlstm_single_pixel_scalar_oracle():
                 acc += xh[ic] * cp.w.data[hc, ic, 1, 1]
             return acc
 
-        i = 1.0 / (1.0 + math.exp(-gate(p.input_gate)))
-        f = 1.0 / (1.0 + math.exp(-gate(p.forget_gate)))
-        g = math.tanh(gate(p.cell_gate))
-        o = 1.0 / (1.0 + math.exp(-gate(p.output_gate)))
+        i = 1.0 / (1.0 + math.exp(-gate(p.input)))
+        f = 1.0 / (1.0 + math.exp(-gate(p.forget)))
+        g = math.tanh(gate(p.cell))
+        o = 1.0 / (1.0 + math.exp(-gate(p.output)))
         c_want = f * c0[0, hc, 0, 0] + i * g
         h_want = o * math.tanh(c_want)
         assert abs(c1.data[0, hc, 0, 0] - c_want) < 1e-12
@@ -480,7 +480,7 @@ def test_convlstm_gradcheck():
     p = ConvLSTMParams.create(rng, 1, 1)
     seq_arrays = [rng.standard_normal((1, 1, 3, 3)) for _ in range(3)]
     gate_tensors = []
-    for gate in (p.input_gate, p.forget_gate, p.cell_gate, p.output_gate):
+    for gate in (p.input, p.forget, p.cell, p.output):
         gate_tensors.extend([gate.w, gate.b])
     arrays = seq_arrays + [q.data.copy() for q in gate_tensors]
 

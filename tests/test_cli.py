@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from msseg import train as train_module
 from msseg.checkpoint import load_checkpoint
 from msseg.cli import main
 from msseg.data import (
     MaskVolume,
     load_mask,
     load_volume,
+    make_folds,
     parse_manifest,
     save_mask,
     write_manifest,
@@ -144,6 +146,17 @@ def test_preprocess_continues_after_item_failure(workspace, tmp_path, capsys):
     assert len(survivors) == len(entries) - 1
 
 
+def test_preprocess_bad_target_fails_before_writing(workspace, tmp_path, capsys):
+    for target in ("0", "-4"):
+        out = tmp_path / f"t{target}"
+        assert main(["preprocess", "--manifest", str(workspace["raw"] / "manifest.tsv"),
+                     "--out", str(out), "--target", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: target must be at least 1, got {target}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -205,6 +218,29 @@ def test_train_config_errors_surface(workspace, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "growht_rate" in err and "line 1" in err
+
+
+def test_train_refuses_a_job_that_cannot_step_before_building(workspace, tmp_path, capsys,
+                                                             monkeypatch):
+    proc = workspace["proc"]
+    entries = parse_manifest(str(proc / "manifest.tsv"))
+    fold = make_folds(entries)[0]
+    n_samples = sum(load_volume(str(proc / e.image_path)).dims[0]
+                    for e in entries if e.id in fold.train)
+    monkeypatch.setattr(train_module, "build_model",
+                        lambda cfg: pytest.fail("built the model before checking the job"))
+    # four scales take the 16x16 crops to a 1x1 bottleneck map
+    for batch_size in (1, n_samples - 1):
+        cfg = tmp_path / f"deep{batch_size}.cfg"
+        cfg.write_text(MINI_CFG.replace("num_scales = 2", "num_scales = 4")
+                       .replace("batch_size = 4", f"batch_size = {batch_size}"))
+        out = tmp_path / f"o{batch_size}"
+        assert main(["train", "--manifest", str(proc / "manifest.tsv"), "--fold", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert all(key in err for key in ("batch_size", "num_scales", "use_sa"))
+        assert list(out.glob("*.msckpt")) == []
 
 
 def test_config_validator_refusal_names_the_file(tmp_path, capsys):

@@ -1,10 +1,14 @@
 """Architecture assembly: geometry, wiring oracles, parameter accounting."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from msseg import blocks, model
 from msseg import rng as rngmod
+from msseg.config import load_config
 from msseg.errors import ShapeError
 from msseg.model import (
     ABLATION_LABELS,
@@ -77,10 +81,151 @@ def test_names_unique_and_stable():
     names = [n for n, _ in named_tensors(m)]
     assert len(names) == len(set(names))
     assert names == [n for n, _ in named_tensors(m)]
-    for name, t in named_tensors(m):
-        assert t.name == name
+    for _, t in named_tensors(m):
         assert np.all(np.isfinite(t.data))
 
+
+# Checkpoint records are the file format: a field rename that moves a name,
+# its order or its shape must fail here rather than in a user's load.
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+FULL_RECORDS_SHA256 = "05cd90f8d6a58270447ba01e09fd0d0046009cf2d91a1806bb10db886a1ff363"
+MINIATURE_RECORDS = """
+    stem.w stem.b
+    downsampling.0.dense.0.bn.gamma downsampling.0.dense.0.bn.beta
+    downsampling.0.dense.0.conv.w downsampling.0.dense.0.conv.b
+    downsampling.0.dense.1.bn.gamma downsampling.0.dense.1.bn.beta
+    downsampling.0.dense.1.conv.w downsampling.0.dense.1.conv.b
+    downsampling.0.sa.attn1.conv1.w downsampling.0.sa.attn1.conv1.b
+    downsampling.0.sa.attn1.bn1.gamma downsampling.0.sa.attn1.bn1.beta
+    downsampling.0.sa.attn1.conv2.w downsampling.0.sa.attn1.conv2.b
+    downsampling.0.sa.attn1.bn2.gamma downsampling.0.sa.attn1.bn2.beta
+    downsampling.0.sa.attn2.conv1.w downsampling.0.sa.attn2.conv1.b
+    downsampling.0.sa.attn2.bn1.gamma downsampling.0.sa.attn2.bn1.beta
+    downsampling.0.sa.attn2.conv2.w downsampling.0.sa.attn2.conv2.b
+    downsampling.0.sa.attn2.bn2.gamma downsampling.0.sa.attn2.bn2.beta
+    downsampling.0.down.bn.gamma downsampling.0.down.bn.beta
+    downsampling.0.down.conv.w downsampling.0.down.conv.b
+    downsampling.1.dense.0.bn.gamma downsampling.1.dense.0.bn.beta
+    downsampling.1.dense.0.conv.w downsampling.1.dense.0.conv.b
+    downsampling.1.dense.1.bn.gamma downsampling.1.dense.1.bn.beta
+    downsampling.1.dense.1.conv.w downsampling.1.dense.1.conv.b
+    downsampling.1.sa.attn1.conv1.w downsampling.1.sa.attn1.conv1.b
+    downsampling.1.sa.attn1.bn1.gamma downsampling.1.sa.attn1.bn1.beta
+    downsampling.1.sa.attn1.conv2.w downsampling.1.sa.attn1.conv2.b
+    downsampling.1.sa.attn1.bn2.gamma downsampling.1.sa.attn1.bn2.beta
+    downsampling.1.sa.attn2.conv1.w downsampling.1.sa.attn2.conv1.b
+    downsampling.1.sa.attn2.bn1.gamma downsampling.1.sa.attn2.bn1.beta
+    downsampling.1.sa.attn2.conv2.w downsampling.1.sa.attn2.conv2.b
+    downsampling.1.sa.attn2.bn2.gamma downsampling.1.sa.attn2.bn2.beta
+    downsampling.1.down.bn.gamma downsampling.1.down.bn.beta
+    downsampling.1.down.conv.w downsampling.1.down.conv.b
+    bottleneck.dense.0.bn.gamma bottleneck.dense.0.bn.beta
+    bottleneck.dense.0.conv.w bottleneck.dense.0.conv.b
+    bottleneck.dense.1.bn.gamma bottleneck.dense.1.bn.beta
+    bottleneck.dense.1.conv.w bottleneck.dense.1.conv.b
+    bottleneck.lstm.input.w bottleneck.lstm.input.b
+    bottleneck.lstm.forget.w bottleneck.lstm.forget.b
+    bottleneck.lstm.cell.w bottleneck.lstm.cell.b
+    bottleneck.lstm.output.w bottleneck.lstm.output.b
+    upsampling.0.up.w
+    upsampling.0.dense.0.bn.gamma upsampling.0.dense.0.bn.beta
+    upsampling.0.dense.0.conv.w upsampling.0.dense.0.conv.b
+    upsampling.0.dense.1.bn.gamma upsampling.0.dense.1.bn.beta
+    upsampling.0.dense.1.conv.w upsampling.0.dense.1.conv.b
+    upsampling.0.sa.attn1.conv1.w upsampling.0.sa.attn1.conv1.b
+    upsampling.0.sa.attn1.bn1.gamma upsampling.0.sa.attn1.bn1.beta
+    upsampling.0.sa.attn1.conv2.w upsampling.0.sa.attn1.conv2.b
+    upsampling.0.sa.attn1.bn2.gamma upsampling.0.sa.attn1.bn2.beta
+    upsampling.0.sa.attn2.conv1.w upsampling.0.sa.attn2.conv1.b
+    upsampling.0.sa.attn2.bn1.gamma upsampling.0.sa.attn2.bn1.beta
+    upsampling.0.sa.attn2.conv2.w upsampling.0.sa.attn2.conv2.b
+    upsampling.0.sa.attn2.bn2.gamma upsampling.0.sa.attn2.bn2.beta
+    upsampling.1.up.w
+    upsampling.1.dense.0.bn.gamma upsampling.1.dense.0.bn.beta
+    upsampling.1.dense.0.conv.w upsampling.1.dense.0.conv.b
+    upsampling.1.dense.1.bn.gamma upsampling.1.dense.1.bn.beta
+    upsampling.1.dense.1.conv.w upsampling.1.dense.1.conv.b
+    upsampling.1.sa.attn1.conv1.w upsampling.1.sa.attn1.conv1.b
+    upsampling.1.sa.attn1.bn1.gamma upsampling.1.sa.attn1.bn1.beta
+    upsampling.1.sa.attn1.conv2.w upsampling.1.sa.attn1.conv2.b
+    upsampling.1.sa.attn1.bn2.gamma upsampling.1.sa.attn1.bn2.beta
+    upsampling.1.sa.attn2.conv1.w upsampling.1.sa.attn2.conv1.b
+    upsampling.1.sa.attn2.bn1.gamma upsampling.1.sa.attn2.bn1.beta
+    upsampling.1.sa.attn2.conv2.w upsampling.1.sa.attn2.conv2.b
+    upsampling.1.sa.attn2.bn2.gamma upsampling.1.sa.attn2.bn2.beta
+    head.w head.b
+    downsampling.0.dense.0.bn.running_mean downsampling.0.dense.0.bn.running_var
+    downsampling.0.dense.1.bn.running_mean downsampling.0.dense.1.bn.running_var
+    downsampling.0.sa.attn1.bn1.running_mean downsampling.0.sa.attn1.bn1.running_var
+    downsampling.0.sa.attn1.bn2.running_mean downsampling.0.sa.attn1.bn2.running_var
+    downsampling.0.sa.attn2.bn1.running_mean downsampling.0.sa.attn2.bn1.running_var
+    downsampling.0.sa.attn2.bn2.running_mean downsampling.0.sa.attn2.bn2.running_var
+    downsampling.0.down.bn.running_mean downsampling.0.down.bn.running_var
+    downsampling.1.dense.0.bn.running_mean downsampling.1.dense.0.bn.running_var
+    downsampling.1.dense.1.bn.running_mean downsampling.1.dense.1.bn.running_var
+    downsampling.1.sa.attn1.bn1.running_mean downsampling.1.sa.attn1.bn1.running_var
+    downsampling.1.sa.attn1.bn2.running_mean downsampling.1.sa.attn1.bn2.running_var
+    downsampling.1.sa.attn2.bn1.running_mean downsampling.1.sa.attn2.bn1.running_var
+    downsampling.1.sa.attn2.bn2.running_mean downsampling.1.sa.attn2.bn2.running_var
+    downsampling.1.down.bn.running_mean downsampling.1.down.bn.running_var
+    bottleneck.dense.0.bn.running_mean bottleneck.dense.0.bn.running_var
+    bottleneck.dense.1.bn.running_mean bottleneck.dense.1.bn.running_var
+    upsampling.0.dense.0.bn.running_mean upsampling.0.dense.0.bn.running_var
+    upsampling.0.dense.1.bn.running_mean upsampling.0.dense.1.bn.running_var
+    upsampling.0.sa.attn1.bn1.running_mean upsampling.0.sa.attn1.bn1.running_var
+    upsampling.0.sa.attn1.bn2.running_mean upsampling.0.sa.attn1.bn2.running_var
+    upsampling.0.sa.attn2.bn1.running_mean upsampling.0.sa.attn2.bn1.running_var
+    upsampling.0.sa.attn2.bn2.running_mean upsampling.0.sa.attn2.bn2.running_var
+    upsampling.1.dense.0.bn.running_mean upsampling.1.dense.0.bn.running_var
+    upsampling.1.dense.1.bn.running_mean upsampling.1.dense.1.bn.running_var
+    upsampling.1.sa.attn1.bn1.running_mean upsampling.1.sa.attn1.bn1.running_var
+    upsampling.1.sa.attn1.bn2.running_mean upsampling.1.sa.attn1.bn2.running_var
+    upsampling.1.sa.attn2.bn1.running_mean upsampling.1.sa.attn2.bn1.running_var
+    upsampling.1.sa.attn2.bn2.running_mean upsampling.1.sa.attn2.bn2.running_var
+""".split()
+
+
+def _record_lines(cfg_file):
+    mcfg, _ = load_config(str(CONFIGS / cfg_file))
+    return [f"{name} {t.data.shape}" for name, t in model._named_arrays(build_model(mcfg))]
+
+
+def test_record_names_are_pinned():
+    full = _record_lines("full.cfg")
+    assert len(full) == 617
+    digest = hashlib.sha256("".join(line + "\n" for line in full).encode()).hexdigest()
+    assert digest == FULL_RECORDS_SHA256
+    assert [line.split()[0] for line in _record_lines("miniature.cfg")] == MINIATURE_RECORDS
+
+
+def _crawl_tensors(obj, found, seen):
+    """Every Tensor reachable through instance attributes, lists, tuples and
+    dicts, independent of how the model walks its tree."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, Tensor):
+        found.append(obj)
+        return
+    children = []
+    if isinstance(obj, (list, tuple)):
+        children += obj
+    elif isinstance(obj, dict):
+        children += [*obj.keys(), *obj.values()]
+    if hasattr(obj, "__dict__"):
+        children += vars(obj).values()
+    for child in children:
+        _crawl_tensors(child, found, seen)
+
+
+@pytest.mark.parametrize("cfg", ablation_variants(MINI), ids=ABLATION_LABELS)
+def test_walk_yields_every_tensor_in_the_tree(cfg):
+    params = build_model(cfg)
+    walked = {id(t) for _, t in model._named_arrays(params)}
+    assert len(walked) == len(list(model._named_arrays(params)))
+    found = []
+    _crawl_tensors(params, found, set())
+    assert {id(t) for t in found} == walked
 
 def test_init_is_seed_deterministic():
     a = build_model(MINI)
@@ -257,7 +402,7 @@ def test_plain_variant_matches_hand_wired_network():
 
     def dense2(tin, blk):
         # two layers unrolled by hand
-        l0, l1 = blk.layers
+        l0, l1 = blk
         y0 = conv2d(relu(bn(tin, l0.bn)), l0.conv.w, l0.conv.b)
         f1 = concat_channels([tin, y0])
         y1 = conv2d(relu(bn(f1, l1.bn)), l1.conv.w, l1.conv.b)
@@ -272,21 +417,21 @@ def test_plain_variant_matches_hand_wired_network():
         return crop_spatial(out, 2 * tin.data.shape[2], 2 * tin.data.shape[3])
 
     s = conv2d(x, m.stem.w, m.stem.b)
-    sk0 = concat_channels([s, dense2(s, m.encoder[0].dense)])
-    s1 = tdown(sk0, m.encoder[0].down)
-    sk1 = concat_channels([s1, dense2(s1, m.encoder[1].dense)])
-    s2 = tdown(sk1, m.encoder[1].down)
+    sk0 = concat_channels([s, dense2(s, m.downsampling[0].dense)])
+    s1 = tdown(sk0, m.downsampling[0].down)
+    sk1 = concat_channels([s1, dense2(s1, m.downsampling[1].dense)])
+    s2 = tdown(sk1, m.downsampling[1].down)
 
-    db = dense2(s2, m.bottleneck)
+    db = dense2(s2, m.bottleneck.dense)
     u = slice_batch(db, 1, 2)
 
-    u = tup(u, m.decoder[0].up)
+    u = tup(u, m.upsampling[0].up)
     u = concat_channels([u, slice_batch(sk1, 1, 2)])
-    u = dense2(u, m.decoder[0].dense)
+    u = dense2(u, m.upsampling[0].dense)
 
-    u = tup(u, m.decoder[1].up)
+    u = tup(u, m.upsampling[1].up)
     u = concat_channels([u, slice_batch(sk0, 1, 2)])
-    u = dense2(u, m.decoder[1].dense)
+    u = dense2(u, m.upsampling[1].dense)
 
     logits = conv2d(u, m.head.w, m.head.b)
     want = softmax_channels(logits).data

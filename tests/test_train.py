@@ -234,6 +234,48 @@ def test_bad_fold_list_refused_before_training(part, ids, match, monkeypatch):
     assert epochs == []
 
 
+# Four scales take a 16x16 crop to a 1x1 bottleneck map, where the first
+# decoder attention branch's batchnorm sees one value per channel per sample.
+DEEP = dataclasses.replace(MINI, num_scales=4)
+
+
+def _small_fold(folds):
+    """One training volume (12 samples) and one validation volume."""
+    return dataclasses.replace(folds[0], train=folds[0].train[:1], val=folds[0].val[:1])
+
+
+@pytest.mark.parametrize(
+    "mcfg,batch_size,named",
+    [
+        (DEEP, 1, ("batch_size", "num_scales", "use_sa")),
+        (DEEP, 11, ("batch_size", "num_scales", "use_sa")),  # the 12th sample rides alone
+        (dataclasses.replace(MINI, num_scales=5), 4, ("divisible by 2^num_scales",)),
+    ],
+    ids=["batch-1", "last-batch-1", "crop"],
+)
+def test_train_refuses_a_job_that_cannot_step(mcfg, batch_size, named, monkeypatch):
+    dataset, folds = phantom_dataset(107)
+
+    def no_model(cfg):
+        raise AssertionError("build_model ran before the job was checked")
+
+    monkeypatch.setattr(train_module, "build_model", no_model)
+    with pytest.raises(ShapeError) as exc:
+        train(_small_fold(folds), dataset, mcfg, TrainConfig(epochs=1, batch_size=batch_size))
+    assert all(word in str(exc.value) for word in named)
+
+
+@pytest.mark.parametrize(
+    "mcfg,batch_size,steps",
+    [(DEEP, 4, 3), (dataclasses.replace(DEEP, use_sa=False), 1, 12)],
+    ids=["sa-batch-4", "no-sa-batch-1"],
+)
+def test_train_takes_every_step_of_a_job_it_accepts(mcfg, batch_size, steps):
+    dataset, folds = phantom_dataset(107)
+    ckpt = train(_small_fold(folds), dataset, mcfg, TrainConfig(epochs=1, batch_size=batch_size))
+    assert ckpt.step == steps
+
+
 def test_training_batch_is_time_major_triplets():
     dataset, folds = phantom_dataset(111)
     ids = folds[0].train[:2]
@@ -459,3 +501,11 @@ def test_ablation_checks_every_fold_list_before_training(monkeypatch, part):
     monkeypatch.setattr(train_module, "train", lambda *a, **k: pytest.fail("trained first"))
     with pytest.raises(ValueError, match="not in the dataset"):
         run_ablation([folds[0], late], dataset, MINI, TrainConfig(epochs=1))
+
+
+def test_ablation_checks_every_variant_can_step_before_training(monkeypatch):
+    dataset, folds = phantom_dataset(110)
+    base = dataclasses.replace(MINI, num_scales=4, use_sa=False)
+    monkeypatch.setattr(train_module, "train", lambda *a, **k: pytest.fail("trained first"))
+    with pytest.raises(ShapeError, match="use_sa"):
+        run_ablation(folds[:1], dataset, base, TrainConfig(epochs=1, batch_size=1))
