@@ -252,10 +252,6 @@ class ConvLSTMParams:
 def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLSTMParams):
     """One recurrence: i,f,o = sigmoid(conv([x;h])), g = tanh(conv([x;h])),
     c = f*c_prev + i*g, h = o*tanh(c). No peepholes."""
-    if x_t.data.shape[2:] != h_prev.data.shape[2:] or x_t.data.shape[2:] != c_prev.data.shape[2:]:
-        raise ShapeError(
-            f"convlstm step: spatial dims disagree, x {x_t.shape}, h {h_prev.shape}, c {c_prev.shape}"
-        )
     xh = concat_channels([x_t, h_prev])
     i = sigmoid(conv2d(xh, p.input.w, p.input.b))
     f = sigmoid(conv2d(xh, p.forget.w, p.forget.b))

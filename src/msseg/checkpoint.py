@@ -7,11 +7,12 @@ dims, float64 little-endian payload), and a trailing CRC32 over everything
 before it.  Records are walked until exactly four bytes remain.
 
 The document follows a config file's key rules (``config.read_keys``), with
-model and training keys under ``model.`` and ``train.``; every refusal is a
-``ConfigError`` naming the file.  Damaged bytes raise ``FileFormatError``:
-"truncated", "bad-magic", "bad-version", "bad-crc", "bad-utf8" for a document
-or record name that is not UTF-8, and "duplicate-record" for a name stored
-twice.
+model and training keys under ``model.`` and ``train.``; the other
+``Checkpoint`` fields it carries are listed once, in ``_OWN_KEYS``.  Every
+refusal is a ``ConfigError`` naming the file.  Damaged bytes raise
+``FileFormatError``: "truncated", "bad-magic", "bad-version", "bad-crc",
+"bad-utf8" for a document or record name that is not UTF-8, and
+"duplicate-record" for a name stored twice.
 """
 
 from __future__ import annotations
@@ -50,30 +51,28 @@ class Checkpoint:
 
     model_cfg: ModelConfig
     train_cfg: TrainConfig
-    epoch: int
-    step: int
-    rng_state: str
-    best_val_dice: float | None
     arrays: dict[str, np.ndarray]
+    epoch: int = 0
+    step: int = 0
+    rng_state: str = ""
+    best_val_dice: float | None = None
 
 
-def checkpoint_from_model(
-    params: ModelParams,
-    train_cfg: TrainConfig,
-    epoch: int = 0,
-    step: int = 0,
-    rng_state: str = "",
-    best_val_dice: float | None = None,
-) -> Checkpoint:
-    return Checkpoint(
-        model_cfg=params.cfg,
-        train_cfg=train_cfg,
-        epoch=epoch,
-        step=step,
-        rng_state=rng_state,
-        best_val_dice=best_val_dice,
-        arrays=snapshot_arrays(params),
-    )
+# The document's own keys, after the two configs', in the order it lists
+# them: key -> (``Checkpoint`` field, type). Files already written carry
+# these names, so a key may be added here but not renamed.
+_OWN_KEYS: dict[str, tuple[str, type]] = {
+    "cursor.epoch": ("epoch", int),
+    "cursor.step": ("step", int),
+    "cursor.rng": ("rng_state", str),
+    "best.val_dice": ("best_val_dice", float | None),
+}
+
+
+def checkpoint_from_model(params: ModelParams, train_cfg: TrainConfig, **cursor) -> Checkpoint:
+    """A checkpoint of ``params`` now; ``cursor`` sets any of ``epoch``,
+    ``step``, ``rng_state`` and ``best_val_dice``."""
+    return Checkpoint(params.cfg, train_cfg, snapshot_arrays(params), **cursor)
 
 
 def restore_into_model(ckpt: Checkpoint) -> ModelParams:
@@ -86,12 +85,7 @@ def restore_into_model(ckpt: Checkpoint) -> ModelParams:
 def _doc_text(ckpt: Checkpoint) -> str:
     values = {f"model.{k}": getattr(ckpt.model_cfg, k) for k in MODEL_KEYS}
     values.update({f"train.{k}": getattr(ckpt.train_cfg, k) for k in TRAIN_KEYS})
-    values.update({
-        "cursor.epoch": ckpt.epoch,
-        "cursor.step": ckpt.step,
-        "cursor.rng": ckpt.rng_state,
-        "best.val_dice": ckpt.best_val_dice,
-    })
+    values.update({key: getattr(ckpt, field) for key, (field, _) in _OWN_KEYS.items()})
     return "".join(f"{k} = {format_value(v)}\n" for k, v in values.items())
 
 
@@ -99,10 +93,7 @@ def _doc_text(ckpt: Checkpoint) -> str:
 _DOC_KEYS: dict[str, type] = {
     **{f"model.{k}": t for k, t in MODEL_KEYS.items()},
     **{f"train.{k}": t for k, t in TRAIN_KEYS.items()},
-    "cursor.epoch": int,
-    "cursor.step": int,
-    "cursor.rng": str,
-    "best.val_dice": float | None,
+    **{key: t for key, (_, t) in _OWN_KEYS.items()},
 }
 _DOC_RETIRED: dict[str, object] = {
     f"{group}.{k}": v for group in ("model", "train") for k, v in RETIRED_KEYS.items()
@@ -175,12 +166,5 @@ def load_checkpoint(path: str) -> Checkpoint:
         mcfg, tcfg = build_configs(values, "model.", "train.")
     except ValueError as e:
         raise ConfigError(f"{path}: {e}") from None
-    return Checkpoint(
-        mcfg,
-        tcfg,
-        epoch=values.get("cursor.epoch", 0),
-        step=values.get("cursor.step", 0),
-        rng_state=values.get("cursor.rng", ""),
-        best_val_dice=values.get("best.val_dice"),
-        arrays=arrays,
-    )
+    cursor = {field: values[key] for key, (field, _) in _OWN_KEYS.items() if key in values}
+    return Checkpoint(mcfg, tcfg, arrays, **cursor)

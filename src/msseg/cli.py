@@ -144,8 +144,6 @@ def cmd_train(args) -> int:
     entries = dio.parse_manifest(args.manifest)
     fold = _pick_fold(_folds(entries), args.fold)
     dataset = _load_dataset(entries, args.manifest, set(fold.train) | set(fold.val))
-    os.makedirs(args.out, exist_ok=True)
-
     rows = []
 
     def sink(epoch, train_loss, val_dice):
@@ -153,6 +151,7 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch}: train_loss {train_loss:.6f} val_dice {val_dice:.6f}")
 
     ckpt = train(fold, dataset, mcfg, tcfg, sink)
+    os.makedirs(args.out, exist_ok=True)
 
     csv_lines = ["epoch,train_loss,val_dice"]
     csv_lines += [f"{e},{tl!r},{vd!r}" for e, tl, vd in rows]
@@ -243,12 +242,12 @@ def cmd_ablate(args) -> int:
     for f in chosen:
         needed |= set(f.train) | set(f.val) | set(f.test)
     dataset = _load_dataset(entries, args.manifest, needed)
-    os.makedirs(args.out, exist_ok=True)
 
     def sink(label, fold_id, score):
         print(f"{label} / fold {fold_id}: test dice {score:.4f}")
 
     rows = run_ablation(chosen, dataset, mcfg, tcfg, sink)
+    os.makedirs(args.out, exist_ok=True)
     header = "variant\t" + "\t".join(f"fold{f.fold_id}" for f in chosen) + "\tmean"
     lines = [header]
     for label, cells, mean in rows:

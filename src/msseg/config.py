@@ -2,7 +2,9 @@
 
 Unknown keys are hard errors: a typo in a hyperparameter name should stop the
 run, not silently train with defaults.  The single `seed` key feeds both the
-model initialization and the training shuffle.
+model initialization and the training shuffle.  Both configs check their
+values when made, so a constructor call, ``dataclasses.replace``, a config
+file and a checkpoint document refuse a bad value with the same message.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ class TrainConfig:
     seed: int = 0
     eps_dice: float = 1e-6
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if not 0 <= self.lr < math.inf:
@@ -112,15 +114,13 @@ def read_keys(text: str, keys: dict[str, type], retired: dict[str, object]) -> d
 def build_configs(
     values: dict, model_prefix: str, train_prefix: str
 ) -> tuple[ModelConfig, TrainConfig]:
-    """Make and validate both configs from ``values`` read under the given
-    key prefixes; absent keys keep their defaults."""
+    """Make both configs from ``values`` read under the given key prefixes;
+    absent keys keep their defaults."""
     def fields(keys: dict, prefix: str) -> dict:
         return {k: values[prefix + k] for k in keys if prefix + k in values}
 
     mcfg = ModelConfig(**fields(MODEL_KEYS, model_prefix))
     tcfg = TrainConfig(**fields(TRAIN_KEYS, train_prefix))
-    mcfg.validate()
-    tcfg.validate()
     return mcfg, tcfg
 
 
@@ -129,8 +129,8 @@ def parse_config_text(text: str) -> tuple[ModelConfig, TrainConfig]:
 
 
 def load_config(path: str) -> tuple[ModelConfig, TrainConfig]:
-    """Parse and validate a config file; every refusal is a ``ConfigError``
-    that names ``path``."""
+    """Parse a config file; every refusal is a ``ConfigError`` that names
+    ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())

@@ -356,12 +356,22 @@ TEXTURE_AMPLITUDE = 0.45
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Knobs for the synthetic FLAIR-like test volumes."""
+    """Knobs for the synthetic FLAIR-like test volumes, checked when made."""
 
     seed: int
     dims: tuple[int, int, int] = (24, 64, 64)
     n_lesions: tuple[int, int] = (2, 5)
     lesion_radius: tuple[float, float] = _DEFAULT_LESION_RADIUS
+
+    def __post_init__(self) -> None:
+        rlo, rhi = self.lesion_radius
+        nlo, nhi = self.n_lesions
+        if rlo <= 0 or rhi < rlo:
+            raise ValueError(f"bad lesion radius range {self.lesion_radius}")
+        if nlo < 0 or nhi < nlo:
+            raise ValueError(f"bad lesion count range {self.n_lesions}")
+        if min(self.dims) < 2 * rhi:
+            raise ValueError(f"dims {self.dims} cannot fit a lesion of diameter {2 * rhi:g}")
 
 
 _PLACEMENT_ATTEMPTS = 200
@@ -403,15 +413,6 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
     s, h, w = spec.dims
     rlo, rhi = spec.lesion_radius
     nlo, nhi = spec.n_lesions
-    if rlo <= 0 or rhi < rlo:
-        raise ValueError(f"bad lesion radius range {spec.lesion_radius}")
-    if nlo < 0 or nhi < nlo:
-        raise ValueError(f"bad lesion count range {spec.n_lesions}")
-    if min(spec.dims) < 2 * rhi:
-        raise ValueError(
-            f"dims {spec.dims} cannot fit a lesion of diameter {2 * rhi:g}"
-        )
-
     rng = rngmod.stream(spec.seed, "phantom")
     centers = [(d - 1) / 2 for d in spec.dims]
     semis = _brain_semis(spec.dims)

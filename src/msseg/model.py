@@ -63,8 +63,11 @@ ABLATION_LABELS = (
 FOREGROUND_PRIOR = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
+    """Architecture settings. A value out of range is refused when the config
+    is made, also by ``dataclasses.replace``, so ``build_model`` takes any."""
+
     num_scales: int = 5
     layers_per_dense_block: int = 5
     growth_rate: int = 12
@@ -75,7 +78,7 @@ class ModelConfig:
     use_clstm: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_scales < 1:
             raise ValueError(f"num_scales must be >= 1, got {self.num_scales}")
         if self.layers_per_dense_block < 1:
@@ -124,7 +127,6 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     All draws come from one stream keyed by cfg.seed, in a fixed build
     order, so the same config always yields the same initial weights.
     """
-    cfg.validate()
     rng = rngmod.stream(cfg.seed, "model-init")
     g = cfg.growth_rate
     nl = cfg.layers_per_dense_block
@@ -330,7 +332,6 @@ def require_trainable(cfg: ModelConfig, crop: tuple, batch_size: int, n_samples:
     2 values per channel from the epoch's smallest batch. Every other
     batchnorm sees at least 3 once the crop divides.
     """
-    cfg.validate()
     h, w = crop
     _require_divisible(cfg, h, w)
     div = 1 << cfg.num_scales

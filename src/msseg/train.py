@@ -74,6 +74,22 @@ def _require_ids(ids: list[str], dataset: Dataset, role: str) -> None:
             raise ValueError(f"volume {vid!r} named by the fold is not in the dataset")
 
 
+def _checked_job(
+    fold: FoldSpec, dataset: Dataset, cfgs: Iterable[ModelConfig], batch_size: int
+) -> list:
+    """Refuse, before anything is built, a training job on ``fold`` that
+    cannot run under every config in ``cfgs``: its fold lists, the training
+    volumes' shared geometry, then ``require_trainable``. Returns the
+    training samples."""
+    _require_ids(fold.train, dataset, "training")
+    _require_ids(fold.val, dataset, "validation")
+    samples = _slice_samples(fold.train, dataset)
+    crop = dataset[fold.train[0]][0].dims[1:]
+    for cfg in cfgs:
+        require_trainable(cfg, crop, batch_size, len(samples))
+    return samples
+
+
 def _slice_samples(ids: list[str], dataset: Dataset) -> list:
     """One (voxels, labels, triplet row) sample per slice, in id then slice
     order. Samples share the volumes' arrays; batches gather rows from them."""
@@ -168,12 +184,7 @@ def train(
     sink: ProgressSink | None = None,
 ) -> Checkpoint:
     """Optimize on the fold's training volumes; keep the best-validation model."""
-    tcfg.validate()
-    _require_ids(fold.train, dataset, "training")
-    _require_ids(fold.val, dataset, "validation")
-    samples = _slice_samples(fold.train, dataset)
-    crop = dataset[fold.train[0]][0].dims[1:]
-    require_trainable(mcfg, crop, tcfg.batch_size, len(samples))
+    samples = _checked_job(fold, dataset, [mcfg], tcfg.batch_size)
     params = build_model(mcfg)
 
     shuffle_rng = rngmod.stream(tcfg.seed, "train-shuffle")
@@ -204,7 +215,9 @@ def train(
             sink(epoch, train_loss, val_dice)
         if val_dice > (-1.0 if best is None else best.best_val_dice):
             rng_text = rngmod.state_to_text(shuffle_rng)
-            best = checkpoint_from_model(params, tcfg, epoch, step, rng_text, val_dice)
+            best = checkpoint_from_model(
+                params, tcfg, epoch=epoch, step=step, rng_state=rng_text, best_val_dice=val_dice
+            )
 
     if best is None:
         return checkpoint_from_model(params, tcfg, rng_state=rngmod.state_to_text(shuffle_rng))
@@ -235,15 +248,9 @@ def run_ablation(
     """
     if not folds:
         raise ValueError("ablation needs at least one fold")
-    tcfg.validate()
     for fold in folds:
-        _require_ids(fold.train, dataset, "training")
-        _require_ids(fold.val, dataset, "validation")
         _require_ids(fold.test, dataset, "test")
-        n_samples = len(_slice_samples(fold.train, dataset))
-        crop = dataset[fold.train[0]][0].dims[1:]
-        for variant in ablation_variants(base):
-            require_trainable(variant, crop, tcfg.batch_size, n_samples)
+        _checked_job(fold, dataset, ablation_variants(base), tcfg.batch_size)
     rows = []
     for label, variant in zip(ABLATION_LABELS, ablation_variants(base)):
         cells = []

@@ -465,6 +465,18 @@ def test_convlstm_forward_empty_rejected():
         convlstm_forward([], p)
 
 
+@pytest.mark.parametrize("bad, says", [("h", "concat_channels"), ("c", "mul")])
+def test_convlstm_step_refuses_a_state_of_other_spatial_dims(bad, says):
+    p = ConvLSTMParams.create(rngmod.stream(81, "lstm-shape"), 2, 3)
+    shapes = {"x": (1, 2, 4, 4), "h": (1, 3, 4, 4), "c": (1, 3, 4, 4)}
+    shapes[bad] = (1, 3, 4, 3)
+    x, h, c = (t(np.zeros(s)) for s in shapes.values())
+    # the ops' own shape checks are the step's: x and h meet in the concat,
+    # the cell state in the forget product
+    with pytest.raises(ShapeError, match=says):
+        convlstm_step(x, h, c, p)
+
+
 def test_convlstm_cell_bound_invariant():
     rng = rngmod.stream(80, "lstm-bound")
     p = ConvLSTMParams.create(rng, 2, 2)

@@ -241,6 +241,29 @@ def test_train_refuses_a_job_that_cannot_step_before_building(workspace, tmp_pat
         assert err.startswith("error: ")
         assert all(key in err for key in ("batch_size", "num_scales", "use_sa"))
         assert list(out.glob("*.msckpt")) == []
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, says",
+    [
+        (["ablate", "--folds", "2"], "use_sa"),
+        (["train", "--fold", "1", "--epochs", "-1"], "epochs must be >= 0"),
+    ],
+    ids=["ablate-cannot-step", "train-negative-epochs"],
+)
+def test_refused_job_leaves_no_out_dir(workspace, tmp_path, capsys, monkeypatch, command, says):
+    monkeypatch.setattr(train_module, "build_model",
+                        lambda cfg: pytest.fail("built the model before checking the job"))
+    # four scales take the 16x16 crops to a 1x1 bottleneck map
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(MINI_CFG.replace("num_scales = 2", "num_scales = 4")
+                   .replace("batch_size = 4", "batch_size = 1"))
+    out = tmp_path / "out"
+    assert main(command + ["--manifest", str(workspace["proc"] / "manifest.tsv"),
+                           "--config", str(cfg), "--out", str(out)]) == 1
+    assert says in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_validator_refusal_names_the_file(tmp_path, capsys):

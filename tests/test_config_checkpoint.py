@@ -1,12 +1,18 @@
 """Config parsing and bit-exact checkpoint round trips."""
 
+import dataclasses
+import math
+import pathlib
 import re
 import struct
+import tempfile
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msseg import rng as rngmod
 from msseg.checkpoint import (
@@ -17,7 +23,7 @@ from msseg.checkpoint import (
     restore_into_model,
     save_checkpoint,
 )
-from msseg.config import TrainConfig, load_config, parse_config_text
+from msseg.config import TrainConfig, format_value, load_config, parse_config_text
 from msseg.errors import ConfigError, FileFormatError
 from msseg.model import ModelConfig, build_model, forward, named_tensors
 from msseg.tensor import Tensor
@@ -418,3 +424,114 @@ def test_config_and_checkpoint_refuse_alike(tmp_path, line, prefix, says):
         assert msg.startswith(f"{path}: "), msg
         if not says.startswith("lr "):
             assert f"key {shown!r} (line {lineno})" in msg, msg
+
+
+def test_checkpoint_document_text_is_pinned():
+    # Files already written carry these keys in this order with these
+    # prefixes and value spellings; a reader must keep accepting them.
+    ckpt = Checkpoint(
+        model_cfg=dataclasses.replace(MINI, use_clstm=False),
+        train_cfg=TrainConfig(epochs=2, lr=0.001, seed=21),
+        arrays={},
+        epoch=2,
+        step=57,
+        rng_state="0,0,0,0;5280826718281506501,18288271643785651914;4;0,0,0,0;0;0",
+        best_val_dice=0.8125,
+    )
+    assert _doc_text(ckpt) == """\
+model.num_scales = 2
+model.layers_per_dense_block = 2
+model.growth_rate = 4
+model.first_conv_filters = 8
+model.convlstm_hidden = 6
+model.dropout_p = 0.0
+model.use_sa = true
+model.use_clstm = false
+model.seed = 21
+train.epochs = 2
+train.lr = 0.001
+train.weight_decay = 0.0001
+train.batch_size = 4
+train.seed = 21
+train.eps_dice = 1e-06
+cursor.epoch = 2
+cursor.step = 57
+cursor.rng = 0,0,0,0;5280826718281506501,18288271643785651914;4;0,0,0,0;0;0
+best.val_dice = 0.8125
+"""
+    ckpt.best_val_dice = None
+    assert _doc_text(ckpt).endswith("\nbest.val_dice = none\n")
+
+
+# ---------------------------------------------------------------------------
+# every numeric setting's range, wherever a config is made
+
+_BELOW_ONE = st.integers(max_value=0)
+_NEGATIVE = st.floats(max_value=-5e-324)  # below zero, where -0.0 is zero
+_NOT_FINITE = st.sampled_from([math.nan, math.inf])
+
+# field -> (config class, out-of-range values, the refusal for a value v).
+# Each `seed` takes any int, so it has no out-of-range value.
+OUT_OF_RANGE = {
+    "num_scales": (ModelConfig, _BELOW_ONE, "num_scales must be >= 1, got {v}"),
+    "layers_per_dense_block": (
+        ModelConfig, _BELOW_ONE, "layers_per_dense_block must be >= 1, got {v}"
+    ),
+    **{
+        field: (ModelConfig, _BELOW_ONE,
+                "growth_rate, first_conv_filters, convlstm_hidden must be >= 1")
+        for field in ("growth_rate", "first_conv_filters", "convlstm_hidden")
+    },
+    "dropout_p": (
+        ModelConfig,
+        _NEGATIVE | st.floats(min_value=1.0) | st.just(math.nan),
+        "dropout_p must be in [0, 1), got {v}",
+    ),
+    "epochs": (TrainConfig, st.integers(max_value=-1), "epochs must be >= 0"),
+    "lr": (TrainConfig, _NEGATIVE | _NOT_FINITE, "lr must be finite and >= 0, got {v!r}"),
+    "weight_decay": (
+        TrainConfig, _NEGATIVE | _NOT_FINITE, "weight_decay must be finite and >= 0, got {v!r}"
+    ),
+    "batch_size": (TrainConfig, _BELOW_ONE, "batch_size must be >= 1"),
+    "eps_dice": (
+        TrainConfig,
+        st.floats(max_value=0.0) | _NOT_FINITE,
+        "eps_dice must be finite and positive, got {v!r}",
+    ),
+}
+
+
+@st.composite
+def out_of_range(draw):
+    field = draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+    cls, values, says = OUT_OF_RANGE[field]
+    v = draw(values)
+    return cls, field, v, says.format(v=v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(out_of_range())
+def test_every_out_of_range_setting_is_refused_wherever_a_config_is_made(case):
+    cls, field, v, says = case
+    want = re.escape(says)
+    with pytest.raises(ValueError, match=want):
+        cls(**{field: v})
+    with pytest.raises(ValueError, match=want):
+        dataclasses.replace(cls(), **{field: v})
+    with pytest.raises(ValueError, match=want):
+        parse_config_text(f"{field} = {format_value(v)}\n")
+
+    key = ("model." if cls is ModelConfig else "train.") + field
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "edited.msckpt"
+        write_with_doc(path, make_checkpoint()[1], lambda doc: "".join(
+            f"{key} = {format_value(v)}\n" if line.split()[0] == key else line + "\n"
+            for line in doc.splitlines()
+        ))
+        with pytest.raises(ConfigError, match=want) as err:
+            load_checkpoint(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+    if cls is ModelConfig:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ModelConfig(), field, v)

@@ -1,5 +1,6 @@
 """Volume formats, preprocessing chain, folds, and the phantom generator."""
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -496,6 +497,23 @@ def test_phantom_spec_validation():
         generate_phantom(
             PhantomSpec(seed=1, dims=(10, 12, 12), n_lesions=(1, 1), lesion_radius=(4.0, 4.0))
         )
+
+
+@pytest.mark.parametrize(
+    "field, value, says",
+    [
+        ("lesion_radius", (0.0, 1.0), "bad lesion radius range"),
+        ("lesion_radius", (2.0, 1.0), "bad lesion radius range"),
+        ("n_lesions", (-1, 2), "bad lesion count range"),
+        ("n_lesions", (3, 2), "bad lesion count range"),
+        ("dims", (6, 64, 64), "cannot fit a lesion of diameter 8"),
+    ],
+)
+def test_phantom_spec_refuses_a_bad_range_when_made(field, value, says):
+    with pytest.raises(ValueError, match=says):
+        PhantomSpec(seed=1, **{field: value})
+    with pytest.raises(ValueError, match=says):
+        dataclasses.replace(PhantomSpec(seed=1), **{field: value})
 
 
 def test_phantom_feeds_preprocessing():
