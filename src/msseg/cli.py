@@ -73,13 +73,14 @@ def cmd_phantom(args) -> int:
     dims = _parse_dims(args.dims)
     if args.count < 1:
         raise ValueError(f"count must be at least 1, got {args.count}")
+    radius = dio._lesion_radius(dims)
     os.makedirs(args.out, exist_ok=True)
     entries = []
     for i in range(args.count):
         patient = i % 5 + 1
         timepoint = i // 5 + 1
         vid = f"p{patient}t{timepoint}"
-        spec = PhantomSpec(seed=args.seed + i, dims=dims, lesion_radius=dio._lesion_radius(dims))
+        spec = PhantomSpec(seed=args.seed + i, dims=dims, lesion_radius=radius)
         vol, msk = dio.generate_phantom(spec)
         image_name = f"{vid}.msvol"
         mask_name = f"{vid}.msmsk"

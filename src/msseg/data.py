@@ -356,7 +356,8 @@ TEXTURE_AMPLITUDE = 0.45
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Knobs for the synthetic FLAIR-like test volumes, checked when made."""
+    """Knobs for the synthetic FLAIR-like test volumes, checked when made; a
+    radius range is refused only when its smallest radius cannot fit."""
 
     seed: int
     dims: tuple[int, int, int] = (24, 64, 64)
@@ -370,11 +371,12 @@ class PhantomSpec:
             raise ValueError(f"bad lesion radius range {self.lesion_radius}")
         if nlo < 0 or nhi < nlo:
             raise ValueError(f"bad lesion count range {self.n_lesions}")
-        if min(self.dims) < 2 * rhi:
-            raise ValueError(f"dims {self.dims} cannot fit a lesion of diameter {2 * rhi:g}")
+        largest = _largest_lesion(self.dims)
+        if rlo > largest:
+            raise ValueError(f"dims {self.dims} cannot fit a lesion of diameter {2 * rhi:g}; "
+                             f"the largest radius that fits is {max(largest, 0.0):.3g}")
 
 
-_PLACEMENT_ATTEMPTS = 200
 LESION_MARGIN = 1.5
 
 
@@ -384,18 +386,23 @@ def _brain_semis(dims: tuple[int, int, int]) -> tuple[float, float, float]:
     return (0.35 * s, 0.40 * h, 0.40 * w)
 
 
+def _largest_lesion(dims: tuple[int, int, int]) -> float:
+    """The one lesion-fit rule: a ball of radius r plus margin m fits at the
+    brain ellipsoid's center when sum(((r + m) / semi)**2) <= 1.  The bound
+    tends to -m as a semi-axis shrinks to 0, so a dim below 1 gets -m."""
+    if min(dims) < 1:
+        return -LESION_MARGIN
+    return 1.0 / math.sqrt(sum(1.0 / s**2 for s in _brain_semis(dims))) - LESION_MARGIN
+
+
 def _lesion_radius(dims: tuple[int, int, int]) -> tuple[float, float]:
     """Pick a lesion radius range that actually fits inside the brain.
 
-    A lesion ball of radius r with safety margin m fits at the ellipsoid
-    center when sum(((r + m) / semi)**2) <= 1, so the largest safe padded
-    radius is 1 / sqrt(sum(1 / semi**2)).  Small volumes get proportionally
-    smaller lesions; at the default dims this reduces to the default range.
-    The lower bound never drops below 0.9 voxels so every lesion covers at
-    least one voxel no matter where its fractional center lands.
+    Small volumes get smaller lesions; at the default dims this is the
+    default range.  The lower bound never drops below 0.9 voxels so every
+    lesion covers at least one voxel wherever its fractional center lands.
     """
-    pad = 1.0 / math.sqrt(sum(1.0 / s**2 for s in _brain_semis(dims)))
-    hi = min(_DEFAULT_LESION_RADIUS[1], pad - LESION_MARGIN)
+    hi = min(_DEFAULT_LESION_RADIUS[1], _largest_lesion(dims))
     if hi < 0.9:
         raise ValueError(
             f"dims {dims[0]}x{dims[1]}x{dims[2]} leave no room for lesions"
@@ -408,10 +415,12 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
     """Deterministic brain-like volume: textured ellipsoid plus bright spheres.
 
     The mask marks exactly the sphere voxels, and every sphere sits strictly
-    inside the ellipsoid so lesions never touch the zero background.
+    inside the ellipsoid so lesions never touch the zero background.  Each
+    radius is drawn uniformly from the part of the spec's range that fits.
     """
     s, h, w = spec.dims
     rlo, rhi = spec.lesion_radius
+    rhi = min(rhi, _largest_lesion(spec.dims))
     nlo, nhi = spec.n_lesions
     rng = rngmod.stream(spec.seed, "phantom")
     centers = [(d - 1) / 2 for d in spec.dims]
@@ -430,34 +439,21 @@ def generate_phantom(spec: PhantomSpec) -> tuple[Volume, MaskVolume]:
     mask = np.zeros(spec.dims, dtype=np.uint8)
 
     n = int(rng.integers(nlo, nhi + 1))
-    for i in range(n):
+    for _ in range(n):
         # Containment test: padding every axis offset by the ball radius and
         # checking the ellipsoid inequality is sufficient for the whole ball
         # to sit inside.  Along a fixed direction the padded value grows
         # monotonically with distance from the center, so the largest safe
         # offset solves a quadratic and placement never needs rejection.
-        for _ in range(_PLACEMENT_ATTEMPTS):
-            r = float(rng.uniform(rlo, rhi))
-            direction = rng.standard_normal(3)
-            length = float(np.linalg.norm(direction))
-            if length == 0.0:
-                continue
-            d = direction / length
-            pad = r + LESION_MARGIN
-            b = np.array([pad / s for s in semis])
-            c = float(b @ b) - 1.0
-            if c > 0.0:
-                continue  # this radius cannot fit even at the center
-            bb = float(np.abs(d) @ b)
-            tmax = -bb + (bb * bb - c) ** 0.5
-            t = float(rng.uniform(0.0, tmax))
-            cz, cy, cx = (centers[a] + semis[a] * d[a] * t for a in range(3))
-            break
-        else:
-            raise ValueError(
-                f"failed to place lesion {i + 1} of {n} after "
-                f"{_PLACEMENT_ATTEMPTS} attempts; relax the phantom settings"
-            )
+        r = float(rng.uniform(rlo, rhi))
+        direction = rng.standard_normal(3)
+        d = direction / float(np.linalg.norm(direction))
+        b = np.array([(r + LESION_MARGIN) / s for s in semis])
+        c = min(float(b @ b) - 1.0, 0.0)  # r fits at the center, so c <= 0 but for rounding
+        bb = float(np.abs(d) @ b)
+        tmax = -bb + (bb * bb - c) ** 0.5
+        t = float(rng.uniform(0.0, tmax))
+        cz, cy, cx = (centers[a] + semis[a] * d[a] * t for a in range(3))
         ball = (
             (zz - cz) ** 2 + (yy - cy) ** 2 + (xx - cx) ** 2
         ) <= r * r

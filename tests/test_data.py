@@ -1,11 +1,14 @@
 """Volume formats, preprocessing chain, folds, and the phantom generator."""
 
 import dataclasses
+import hashlib
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msseg import rng as rngmod
 from msseg.data import (
@@ -29,6 +32,9 @@ from msseg.data import (
     save_mask,
     save_volume,
     write_manifest,
+    _brain_semis,
+    _largest_lesion,
+    _lesion_radius,
 )
 from msseg.cli import _folds
 from msseg.errors import FileFormatError, ShapeError
@@ -493,10 +499,56 @@ def test_phantom_zero_lesions():
 def test_phantom_spec_validation():
     with pytest.raises(ValueError, match="diameter"):
         generate_phantom(PhantomSpec(seed=1, dims=(6, 64, 64), lesion_radius=(3.5, 3.5)))
-    with pytest.raises(ValueError, match="failed to place"):
-        generate_phantom(
-            PhantomSpec(seed=1, dims=(10, 12, 12), n_lesions=(1, 1), lesion_radius=(4.0, 4.0))
-        )
+    with pytest.raises(ValueError, match=r"diameter 8; the largest radius that fits is 0\.937"):
+        PhantomSpec(seed=1, dims=(10, 12, 12), n_lesions=(1, 1), lesion_radius=(4.0, 4.0))
+
+
+# Ranges drawn as (lo, lo + step): wide steps reach radii far past the fit.
+def _span(lo, step):
+    return st.tuples(lo, step).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    dims=st.tuples(*[st.integers(0, 48)] * 3),
+    counts=_span(st.integers(-1, 3), st.integers(-1, 3)),
+    radii=_span(st.floats(-0.25, 1.5), st.floats(-0.5, 8.0)),
+)
+# at the fit limit itself the containment term rounds just above 0 on these dims
+@example(dims=(12, 16, 8), counts=(1, 1), radii=(_largest_lesion((12, 16, 8)),) * 2)
+def test_phantom_spec_refused_exactly_when_no_lesion_fits(dims, counts, radii):
+    (nlo, nhi), (rlo, rhi) = counts, radii
+    bad = rlo <= 0 or rhi < rlo or nlo < 0 or nhi < nlo or rlo > _largest_lesion(dims)
+    try:
+        spec = PhantomSpec(seed=7, dims=dims, n_lesions=counts, lesion_radius=radii)
+    except ValueError:
+        assert bad
+        return
+    assert not bad
+    v, m = generate_phantom(spec)
+    grid = np.indices(dims)
+    norm2 = sum(((g - (d - 1) / 2) / a) ** 2 for g, d, a in zip(grid, dims, _brain_semis(dims)))
+    lesion = m.labels == 1
+    assert np.all(norm2[lesion] <= 1.0)
+    assert np.all(v.voxels[lesion] >= np.float32(LESION_BAND[0]))
+    assert np.all(v.voxels[lesion] <= LESION_BAND[1])
+    v2, m2 = generate_phantom(spec)
+    assert v2.voxels.tobytes() == v.voxels.tobytes()
+    assert m2.labels.tobytes() == m.labels.tobytes()
+
+
+def test_phantom_bytes_are_pinned():
+    """SHA-256 over voxels, then labels, of the quick start's and pipeline
+    benchmark's 12x32x32 phantoms and the three benchmark model phantoms."""
+    specs = [PhantomSpec(seed=seed, dims=(12, 32, 32), lesion_radius=_lesion_radius((12, 32, 32)))
+             for seed in [*range(3, 13), *range(1, 11)]]
+    specs += [PhantomSpec(seed=1, dims=(12, n, n), lesion_radius=(1.2, 2.2)) for n in (72, 192, 40)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        v, m = generate_phantom(spec)
+        digest.update(v.voxels.tobytes())
+        digest.update(m.labels.tobytes())
+    assert digest.hexdigest() == "cf840090155d02b66c8f532359a5023ef714607a13c7de16e079abc08be43d13"
 
 
 @pytest.mark.parametrize(
