@@ -24,11 +24,6 @@ from .model import ModelConfig, count_params
 from .train import evaluate, predict, run_ablation, train
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
-
-
 def _resolve(path: str, manifest_path: str) -> str:
     """Manifest entries may use paths relative to the manifest's directory."""
     if os.path.isabs(path):
@@ -74,7 +69,6 @@ def cmd_phantom(args) -> int:
     if args.count < 1:
         raise ValueError(f"count must be at least 1, got {args.count}")
     radius = dio._lesion_radius(dims)
-    os.makedirs(args.out, exist_ok=True)
     entries = []
     for i in range(args.count):
         patient = i % 5 + 1
@@ -96,7 +90,6 @@ def cmd_preprocess(args) -> int:
     if args.target < 1:
         raise ValueError(f"target must be at least 1, got {args.target}")
     entries = dio.parse_manifest(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
     failures = 0
     processed = []
     summary = []
@@ -152,7 +145,6 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch}: train_loss {train_loss:.6f} val_dice {val_dice:.6f}")
 
     ckpt = train(fold, dataset, mcfg, tcfg, sink)
-    os.makedirs(args.out, exist_ok=True)
 
     csv_lines = ["epoch,train_loss,val_dice"]
     csv_lines += [f"{e},{tl!r},{vd!r}" for e, tl, vd in rows]
@@ -175,10 +167,9 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     entries = dio.parse_manifest(args.manifest)
     if not entries:
-        return _fail("manifest lists no volumes")
+        raise ValueError("manifest lists no volumes")
     dataset = _load_dataset(entries, args.manifest, {e.id for e in entries})
     report = evaluate(ckpt, dataset)
-    os.makedirs(args.out, exist_ok=True)
     dio.atomic_write_bytes(
         os.path.join(args.out, "report.txt"), report.to_text().encode("utf-8")
     )
@@ -216,7 +207,6 @@ def cmd_predict(args) -> int:
         gt = dio.load_mask(args.mask)
         dio._require_paired(vol, gt)
     pred = predict(ckpt, vol)
-    os.makedirs(args.out, exist_ok=True)
     pred_path = os.path.join(args.out, "prediction.msmsk")
     dio.save_mask(pred, pred_path)
     _write_overlays(args.out, vol, pred, gt)
@@ -231,11 +221,11 @@ def cmd_ablate(args) -> int:
     try:
         fold_ids = [int(p) for p in args.folds.split(",") if p.strip()]
     except ValueError:
-        return _fail(f"--folds must be comma-separated integers, got {args.folds!r}")
+        raise ValueError(f"--folds must be comma-separated integers, got {args.folds!r}") from None
     if not fold_ids:
-        return _fail("--folds named no folds")
+        raise ValueError("--folds named no folds")
     if len(set(fold_ids)) < len(fold_ids):
-        return _fail(f"--folds names a fold more than once, got {args.folds!r}")
+        raise ValueError(f"--folds names a fold more than once, got {args.folds!r}")
     entries = dio.parse_manifest(args.manifest)
     folds = _folds(entries)
     chosen = [_pick_fold(folds, fid) for fid in fold_ids]
@@ -248,7 +238,6 @@ def cmd_ablate(args) -> int:
         print(f"{label} / fold {fold_id}: test dice {score:.4f}")
 
     rows = run_ablation(chosen, dataset, mcfg, tcfg, sink)
-    os.makedirs(args.out, exist_ok=True)
     header = "variant\t" + "\t".join(f"fold{f.fold_id}" for f in chosen) + "\tmean"
     lines = [header]
     for label, cells, mean in rows:
@@ -338,7 +327,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, TrainingDivergedError, OSError) as exc:
-        return _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

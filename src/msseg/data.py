@@ -30,9 +30,10 @@ BRAIN_FLOOR = 0.2
 
 def atomic_write_bytes(path: str, *chunks) -> None:
     """Write ``chunks`` (bytes or C-contiguous arrays, each written as its
-    raw buffer) in order via a temp file in the same directory, then rename
-    into place. Passing large buffers as their own chunks keeps the file's
-    bytes from ever being joined in memory."""
+    raw buffer) in order via a temp file in the same directory (made if
+    missing), then rename into place. Large buffers passed as their own
+    chunks are never joined in memory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:

@@ -1,14 +1,15 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Design in one paragraph: a ``Tensor`` wraps an ndarray plus an optional
-gradient. Operations are plain functions. While a ``Graph`` is active (it
-is a context manager), every operation whose inputs require gradients
-appends one node to the graph's tape; a node is the output tensor, the
-input tensors, and a closure that maps the output gradient to input
-gradients. The tape is append-only, so reverse insertion order is a valid
-topological order, and ``backward`` is a single reversed sweep that pops
-each node as it runs it, freeing the node's closure on the way down. With
-no graph active, operations are pure evaluation and keep no references.
+Design in one paragraph: a ``Tensor`` wraps an ndarray. Operations are
+plain functions. While a ``Graph`` is active (it is a context manager),
+every operation whose inputs require gradients appends one node to the
+graph's tape: the output's gradient slot, one slot per input (None if it
+needs no gradient) and a closure that maps the output gradient to input
+gradients. Only the closures hold arrays, each just what it reads. The tape
+is append-only, so reverse insertion order is a valid topological order,
+and ``backward`` is a single reversed sweep that pops each node as it runs
+it, freeing the node's closure on the way down. Only leaves get ``grad``.
+With no graph active, operations are pure evaluation and keep no references.
 Both convolution ops, ``conv2d`` and ``conv_transpose2d``, work one sample
 at a time, so their temporaries cover one sample, not the batch. They share
 one backward (``_grads_from_taps``): per sample, one gather of the output
@@ -16,7 +17,7 @@ gradient's taps and two GEMMs, one for each gradient. Only the ``conv2d``
 forward reads the input's zero-padded canvas (``_shifted_taps``).
 Batchnorm and ReLU make the fewest passes over memory they can: both
 ``batchnorm2d`` modes write one output array, and its one vjp for both
-modes rebuilds xhat from the input instead of keeping a copy on the tape;
+modes rebuilds xhat from the input instead of keeping a copy of it;
 ``relu`` is one ``np.fmax`` pass.
 
 Everything computes in float64. Gradients accumulate additively across
@@ -56,7 +57,7 @@ class Graph:
     __slots__ = ("_nodes", "_consumed")
 
     def __init__(self):
-        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self._nodes: list[tuple[_Slot, list, Callable]] = []
         self._consumed = False
 
     def __enter__(self) -> "Graph":
@@ -74,25 +75,33 @@ class Graph:
         return len(self._nodes)
 
 
-class Tensor:
-    """A float64 array with an optional gradient of the same shape."""
+class _Slot:
+    """Where the sweep gathers a taped op output's gradient; it holds no data."""
 
-    __slots__ = ("data", "grad", "requires_grad", "graph")
+    __slots__ = ("grad", "shape")
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grad: Optional[np.ndarray] = None
+        self.shape = shape
+
+
+class Tensor:
+    """A float64 array. A leaf that requires gradients is its own gradient
+    slot and gets ``grad``; a taped op output gets a ``_Slot`` in ``slot``
+    and the ``graph`` that recorded it, and never a ``grad``."""
+
+    __slots__ = ("data", "grad", "requires_grad", "graph", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self.graph: Optional[Graph] = None
+        self.slot: Optional[_Slot] = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() needs a single element, got shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -100,9 +109,6 @@ class Tensor:
     # arithmetic sugar; the named functions below do the real work
     def __add__(self, other):
         return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
 
     def __mul__(self, other):
         return mul(self, other) if isinstance(other, Tensor) else mul_scalar(self, other)
@@ -123,12 +129,10 @@ class Tensor:
             return div(self, other)
         return mul_scalar(self, 1.0 / float(other))
 
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
 
 def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """Wrap op output; record (out, inputs, vjp) if a graph is active.
+    """Wrap op output; if a graph is active, record (out slot, input slots,
+    vjp), with None for each input that needs no gradient.
 
     ``vjp(out_grad)`` must return one gradient array (or None) per input,
     in order.
@@ -138,30 +142,32 @@ def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
     if g is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.graph = g
-        g._nodes.append((out, tuple(inputs), vjp))
+        out.slot = _Slot(out.data.shape)
+        # a leaf is its own slot, and not its own ``slot``, which would be a cycle
+        ins = [(t.slot or t) if t.requires_grad else None for t in inputs]
+        g._nodes.append((out.slot, ins, vjp))
     return out
 
 
-def _accumulate(t: Tensor, g: Optional[np.ndarray]) -> None:
-    if g is None or not t.requires_grad:
+def _accumulate(slot: "_Slot | Tensor | None", g: Optional[np.ndarray]) -> None:
+    if g is None or slot is None:
         return
-    if g.shape != t.data.shape:
-        raise ShapeError(
-            f"gradient shape {g.shape} does not match tensor shape {t.data.shape}"
-        )
-    t.grad = g if t.grad is None else t.grad + g
+    if g.shape != slot.shape:
+        raise ShapeError(f"gradient shape {g.shape} does not match tensor shape {slot.shape}")
+    slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss, filling ``grad`` on the way down.
+    """Reverse sweep from a scalar loss, filling each leaf's ``grad``.
 
-    Gradients add up across separate graphs (micro-batch accumulation works
-    by running several forward/backward pairs before one ``sgd_step``), but
-    each graph can be swept only once: the sweep pops each node off the tape
-    as it runs it, which frees that node's closure and the arrays it holds
-    before the earlier nodes run, so a second backward over the same graph
-    raises instead of silently returning zeros. It also raises when an
-    earlier sweep stopped on an exception.
+    Op outputs get no ``grad``: their gradients live in the tape's slots.
+    Leaf gradients add up across separate graphs (micro-batch accumulation
+    works by running several forward/backward pairs before one
+    ``sgd_step``), but each graph can be swept only once: the sweep pops
+    each node off the tape as it runs it, which frees that node's closure
+    and the arrays it holds before the earlier nodes run, so a second
+    backward over the same graph raises instead of silently returning
+    zeros. It also raises when an earlier sweep stopped on an exception.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -176,16 +182,16 @@ def backward(loss: Tensor) -> None:
     # marked before the sweep: a vjp that raises leaves a half-emptied tape,
     # and sweeping only its remainder would give wrong gradients
     loss.graph._consumed = True
-    loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + np.ones_like(loss.data)
+    loss.slot.grad = np.ones(loss.slot.shape)
     nodes = loss.graph._nodes
     while nodes:
-        # popping frees each node's closure, and its output once unreferenced,
-        # before the earlier nodes run
+        # popping frees each node's closure, and its output slot once
+        # unreferenced, before the earlier nodes run
         out, inputs, vjp = nodes.pop()
         if out.grad is None:
             continue
-        for t, g in zip(inputs, vjp(out.grad)):
-            _accumulate(t, g)
+        for slot, g in zip(inputs, vjp(out.grad)):
+            _accumulate(slot, g)
 
 
 def sgd_step(named_params: Iterable[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0) -> None:

@@ -141,6 +141,63 @@ def test_backward_frees_later_nodes_before_earlier_vjps_run():
     np.testing.assert_array_equal(x.grad, np.full(4, 3.0))
 
 
+def test_tape_keeps_only_what_vjps_read():
+    # no vjp reads a batchnorm output, so once the caller drops it nothing
+    # holds it; relu's vjp reads its own output, which stays alive
+    rng = rngmod.stream(7, "tape-keeps")
+    x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+    gamma = Tensor(np.ones(3), requires_grad=True)
+    beta = Tensor(np.zeros(3), requires_grad=True)
+    stats = Tensor(np.zeros(3)), Tensor(np.ones(3))
+    with Graph():
+        normed = batchnorm2d(x, gamma, beta, *stats, "train")
+        rectified = relu(normed)
+        loss = sum_all(rectified)
+    normed_data, rectified_data = weakref.ref(normed.data), weakref.ref(rectified.data)
+    del normed, rectified
+    assert normed_data() is None
+    assert rectified_data() is not None
+    backward(loss)
+    assert x.grad is not None and gamma.grad is not None
+
+
+@pytest.mark.parametrize("input_kind", ["leaf", "op output"])
+def test_wrong_gradient_shape_raises(input_kind):
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    with Graph():
+        inp = x if input_kind == "leaf" else mul_scalar(x, 2.0)
+        out = _emit(inp.data.sum(axis=0), (inp,), lambda go: (np.ones(4),))
+        loss = sum_all(out)
+    want = r"gradient shape \(4,\) does not match tensor shape \(2, 3\)"
+    with pytest.raises(ShapeError, match=want):
+        backward(loss)
+
+
+def test_gradients_accumulate_across_graphs_until_sgd_step():
+    rng = rngmod.stream(7, "micro-batch")
+    leaves = [Tensor(rng.standard_normal(5), requires_grad=True) for _ in range(2)]
+    batches = [rng.standard_normal(5), rng.standard_normal(5)]
+
+    def step(b):
+        w, v = leaves
+        with Graph():
+            loss = sum_all(mul(mul(w, v), Tensor(b)))
+        backward(loss)
+
+    alone = []
+    for b in batches:
+        step(b)
+        alone.append([t.grad for t in leaves])
+        for t in leaves:
+            t.grad = None
+    for b in batches:
+        step(b)
+    for t, first, second in zip(leaves, *alone):
+        assert t.grad.tobytes() == (first + second).tobytes()
+    sgd_step([("w", leaves[0]), ("v", leaves[1])], lr=0.5)
+    assert all(t.grad is None for t in leaves)
+
+
 # ---------------------------------------------------------------------------
 # convolution backward: retained memory and exact loop-oracle gradients
 

@@ -26,6 +26,7 @@ from msseg.model import (
 from msseg.tensor import (
     Graph,
     Tensor,
+    _Slot,
     backward,
     batchnorm2d,
     concat_channels,
@@ -475,11 +476,23 @@ def test_full_model_gradient_spot_check():
         assert err < 1e-3, f"{name}[{idx}]: analytic {analytic}, fd {fd}"
 
 
+def _full_structure_train_forward():
+    """A width-1 model with the full config's structure, and the graph,
+    output and loss of one taped train forward on a batch of 2."""
+    m = build_model(ModelConfig(growth_rate=1, first_conv_filters=1, convlstm_hidden=1))
+    rng = rngmod.stream(101, "op-graph")
+    x = Tensor(rng.standard_normal((6, 1, 32, 32)))
+    gt = (rng.random((2, 32, 32)) < 0.1).astype(np.float64)
+    with Graph() as g:
+        prob = forward(m, x, "train", rngmod.stream(101, "op-graph-drop"))
+        loss = soft_dice_loss(prob, gt)
+    return m, g, prob, loss
+
+
 def test_full_structure_train_step_op_graph(monkeypatch):
     # the full config's structure at width 1 records the op graph a
     # full-config train step does: 114 conv2d calls per forward and 554 tape
     # nodes from the input to the loss
-    m = build_model(ModelConfig(growth_rate=1, first_conv_filters=1, convlstm_hidden=1))
     calls = []
 
     def counted(*args, **kwargs):
@@ -488,15 +501,22 @@ def test_full_structure_train_step_op_graph(monkeypatch):
 
     monkeypatch.setattr(blocks, "conv2d", counted)
     monkeypatch.setattr(model, "conv2d", counted)
-    rng = rngmod.stream(101, "op-graph")
-    x = Tensor(rng.standard_normal((6, 1, 32, 32)))
-    gt = (rng.random((2, 32, 32)) < 0.1).astype(np.float64)
-    with Graph() as g:
-        prob = forward(m, x, "train", rngmod.stream(101, "op-graph-drop"))
-        loss = soft_dice_loss(prob, gt)
+    _, g, _, loss = _full_structure_train_forward()
     assert len(calls) == 114
     assert len(g) == 554
     backward(loss)
+
+
+def test_full_structure_tape_holds_no_op_outputs():
+    # a tape node is (output slot, input slots, vjp): no op output Tensor is
+    # on it, and after backward only the leaves have gradients
+    m, g, prob, loss = _full_structure_train_forward()
+    for out, inputs, _ in g._nodes:
+        for s in (out, *inputs):
+            assert s is None or isinstance(s, _Slot) or (isinstance(s, Tensor) and s.graph is None)
+    backward(loss)
+    assert prob.grad is None and loss.grad is None
+    assert all(t.grad is not None for _, t in named_tensors(m))
 
 
 # ---------------------------------------------------------------------------
