@@ -10,11 +10,16 @@ is append-only, so reverse insertion order is a valid topological order,
 and ``backward`` is a single reversed sweep that pops each node as it runs
 it, freeing the node's closure on the way down. Only leaves get ``grad``.
 With no graph active, operations are pure evaluation and keep no references.
-Both convolution ops, ``conv2d`` and ``conv_transpose2d``, work one sample
-at a time, so their temporaries cover one sample, not the batch. They share
-one backward (``_grads_from_taps``): per sample, one gather of the output
-gradient's taps and two GEMMs, one for each gradient. Only the ``conv2d``
-forward reads the input's zero-padded canvas (``_shifted_taps``).
+``conv2d`` picks one of two paths from the shapes alone. When a sample has
+fewer pixels than the conv has filters (H*W < F), the weight is the larger
+operand: the forward is one GEMM per sample over the sample's patch matrix,
+with the weight read in its stored layout, and the backward is one GEMM per
+gradient over the whole batch. Otherwise the forward is shifted GEMMs over
+the input's zero-padded canvas (``_shifted_taps``), building no patch
+matrix, and the backward shares ``conv_transpose2d``'s (``_grads_from_taps``):
+per sample, one gather of the output gradient's taps and two GEMMs. On that
+path, and in ``conv_transpose2d``, the temporaries cover one sample, not the
+batch. Both ``conv2d`` paths run the forward one sample at a time.
 Batchnorm and ReLU make the fewest passes over memory they can: both
 ``batchnorm2d`` modes write one output array, and its one vjp for both
 modes rebuilds xhat from the input instead of keeping a copy of it;
@@ -197,16 +202,23 @@ def backward(loss: Tensor) -> None:
 def sgd_step(named_params: Iterable[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0) -> None:
     """One SGD update: p <- p - lr * (grad + weight_decay * p).
 
-    Clears every gradient afterwards. A parameter without a gradient is a
-    bug in the caller's graph wiring, so it raises by name instead of
-    silently skipping.
+    Each update is built in one scratch array, sized to the largest
+    parameter and reused, in the order of that expression, so the result is
+    the expression's bit for bit. Clears every gradient afterwards. A
+    parameter without a gradient is a bug in the caller's graph wiring, so
+    it raises by name instead of silently skipping.
     """
     pairs = list(named_params)
     for name, p in pairs:
         if p.grad is None:
             raise ValueError(f"parameter {name!r} has no gradient; was backward run?")
+    scratch = np.empty(max((p.data.size for _, p in pairs), default=0))
     for name, p in pairs:
-        p.data -= lr * (p.grad + weight_decay * p.data)
+        step = scratch[:p.data.size].reshape(p.data.shape)
+        np.multiply(p.data, weight_decay, out=step)
+        step += p.grad
+        step *= lr
+        p.data -= step
         p.grad = None
 
 
@@ -397,6 +409,64 @@ def _shifted_taps(a: np.ndarray, k: int):
         yield [flat[:, o:o + h * wp] for o in offsets]
 
 
+def _gather_patches(taps, h: int, wd: int, out: np.ndarray) -> None:
+    """Copy one sample's k*k canvas taps, minus their junk columns, into
+    ``out`` (C, k*k, H, W): the sample's patch matrix, rows in (c, i, j)
+    order, the column order of a (F, C, k, k) weight read as (F, C*k*k)."""
+    c = out.shape[0]
+    for t, tap in enumerate(taps):
+        out[:, t] = tap.reshape(c, h, -1)[:, :, :wd]
+
+
+def _patch_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
+    (F, C, k, k) kernel ``w`` as one GEMM per sample: w read as (F, C*k*k)
+    in place, times the sample's (C*k*k, H*W) patch matrix, gathered into
+    one reused buffer. A 1x1 kernel's patch matrix is the sample itself."""
+    f, c, k, _ = w.shape
+    n, _, h, wd = a.shape
+    wmat = w.reshape(f, -1)
+    res = np.empty((n, f, h, wd))
+    cols = np.empty((c, k * k, h, wd)) if k > 1 else None
+    for s, taps in enumerate(_shifted_taps(a, k)):
+        if k == 1:
+            patches = taps[0]
+        else:
+            _gather_patches(taps, h, wd, cols)
+            patches = cols.reshape(c * k * k, h * wd)
+        np.matmul(wmat, patches, out=res[s].reshape(f, h * wd))
+    return res
+
+
+def _patch_grads(go: np.ndarray, xd: np.ndarray, w: np.ndarray, need_x: bool, need_w: bool):
+    """Both gradients of ``_patch_correlate`` as one GEMM each over the
+    whole batch, with the output gradient read as G (F, N*H*W):
+    gw = G @ P.T, in the weight's own layout, for the batch's (C*k*k, N*H*W)
+    patch matrix P; gx's patch matrix w.T @ G, scatter-added back per sample
+    by tap (col2im). Each is None when not needed."""
+    f, c, k, _ = w.shape
+    n, _, h, wd = xd.shape
+    g = go.transpose(1, 0, 2, 3).reshape(f, n * h * wd)
+    gx = gw = None
+    if need_w:
+        cols = np.empty((c, k * k, n, h, wd))
+        for s, taps in enumerate(_shifted_taps(xd, k)):
+            _gather_patches(taps, h, wd, cols[:, :, s])
+        gw = (g @ cols.reshape(c * k * k, n * h * wd).T).reshape(w.shape)
+    if need_x:
+        gcols = (w.reshape(f, -1).T @ g).reshape(c, k * k, n, h, wd)
+        gx = np.empty((n, c, h, wd))
+        pad = k // 2
+        canvas = np.empty((c, h + 2 * pad, wd + 2 * pad))
+        for s in range(n):
+            canvas.fill(0.0)
+            for t in range(k * k):
+                i, j = divmod(t, k)
+                canvas[:, i:i + h, j:j + wd] += gcols[:, t, s]
+            gx[s] = canvas[:, pad:pad + h, pad:pad + wd]
+    return gx, gw
+
+
 def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
     (F, C, k, k) kernel ``w``: the sum over taps of w[:, :, i, j] @ tap(i, j),
@@ -423,21 +493,28 @@ def _grads_from_taps(sample_taps, xd, wmat, f, k, need_x, need_w):
 
     ``sample_taps`` yields each sample's k*k (F, H, W) output-gradient taps.
     Per sample they are copied into one reused (F*k*k, H*W) buffer, rows in
-    (f, tap) order; then gx[s] = wmat @ buf and gw += xd[s] @ buf.T. Returns
-    gx as (N, C, H, W) and gw as (C, F*k*k), each None when not needed.
+    (f, tap) order, except that a 1x1 kernel's one tap is read in place;
+    then gx[s] = wmat @ buf and gw += xd[s] @ buf.T, each sample's product
+    written into one reused buffer. Returns gx as (N, C, H, W) and gw as
+    (C, F*k*k), each None when not needed.
     """
     n, c, h, wd = xd.shape
     gx = np.empty((n, c, h * wd)) if need_x else None
     gw = np.zeros((c, f * k * k)) if need_w else None
-    buf = np.empty((f * k * k, h * wd))
-    by_tap = buf.reshape(f, k * k, h, wd)
+    prod = np.empty((c, f * k * k)) if need_w else None
+    by_tap = np.empty((f, k * k, h, wd)) if k > 1 else None
     for s, taps in enumerate(sample_taps):
-        for t, tap in enumerate(taps):
-            by_tap[:, t] = tap
+        if k == 1:
+            # a view of the output gradient when its one tap is contiguous
+            buf = taps[0].reshape(f, h * wd)
+        else:
+            for t, tap in enumerate(taps):
+                by_tap[:, t] = tap
+            buf = by_tap.reshape(f * k * k, h * wd)
         if need_x:
             np.matmul(wmat, buf, out=gx[s])
         if need_w:
-            gw += xd[s].reshape(c, -1) @ buf.T
+            gw += np.matmul(xd[s].reshape(c, -1), buf.T, out=prod)
     return (gx.reshape(n, c, h, wd) if need_x else None), gw
 
 
@@ -461,14 +538,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x: (N, C, H, W), w: (F, C, k, k) with k odd, b: (F,). The input is
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
 
-    Forward and backward run one sample at a time. The forward is shifted
-    GEMMs over the input's zero-padded canvas (``_shifted_taps``), so no
-    patch matrix of the input is built. Both gradients are correlations with
-    the output gradient, so the backward copies its k*k taps, minus their
-    junk columns, into one small (F*k*k, H*W) buffer per sample, and two
-    GEMMs read it (``_grads_from_taps``): the input gradient's, with the
-    kernel rotated 180 degrees and its channel axes swapped, and the weight
-    gradient's, with the sample.
+    The algorithm follows from the shapes alone, never from the batch size,
+    so a sample's output is the same bit for bit in any batch. Both paths
+    read the input's zero-padded canvas (``_shifted_taps``) and run the
+    forward one sample at a time.
+
+    - Weight-bound (H*W < F, a sample's patch matrix is smaller than the
+      weight): the forward is one GEMM per sample, the weight read as
+      (F, C*k*k) where it lies times the sample's patch matrix
+      (``_patch_correlate``). The backward is one GEMM per gradient over
+      the whole batch, plus a per-sample scatter-add of the input
+      gradient's taps (``_patch_grads``).
+    - Otherwise: the forward is shifted GEMMs over the canvas, one per tap
+      with the weight copied tap-major, so no patch matrix of the input is
+      built (``_shifted_correlate``). Both gradients are correlations with
+      the output gradient, so the backward copies its k*k taps, minus their
+      junk columns, into one small (F*k*k, H*W) buffer per sample, and two
+      GEMMs read it (``_grads_from_taps``): the input gradient's, with the
+      kernel rotated 180 degrees and its channel axes swapped, and the
+      weight gradient's, with the sample.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
@@ -478,7 +566,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
     xd, wdata = x.data, w.data
-    out = _shifted_correlate(wdata, xd)
+    weight_bound = h * wd < f
+    out = _patch_correlate(wdata, xd) if weight_bound else _shifted_correlate(wdata, xd)
     out += b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
@@ -487,6 +576,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
         if not (need_x or need_w):
             return None, None, gb
+        if weight_bound:
+            return (*_patch_grads(go, xd, wdata, need_x, need_w), gb)
         # kernel rotated 180 degrees, channel axes swapped, columns (f, i, j)
         wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1) if need_x else None
         sample_taps = (
@@ -510,12 +601,13 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     cross-correlation with the same weight array read as (F, C, k, k):
     <xcorr(a; w), y> == <a, conv_transpose2d(y; w)>.
 
-    Like conv2d it works one sample at a time. The forward puts a sample's
-    taps, wmat.T @ x[s], in one (F*k*k, H*W) buffer and scatters tap (i, j)
-    into the stride-2 window at offset (i, j). The vjp reads the same
+    Like conv2d's shifted path it works one sample at a time, forward and
+    backward. The forward puts a sample's taps, wmat.T @ x[s], in one
+    (F*k*k, H*W) buffer and scatters tap (i, j) into the stride-2 window at
+    offset (i, j). The vjp reads the same
     windows of the output gradient back into such a buffer, which is that
     stride-2 cross-correlation's patch matrix, and both gradients are GEMMs
-    over that one gather (``_grads_from_taps``, as for ``conv2d``).
+    over that one gather (``_grads_from_taps``, as for that path).
     """
     k = _square_kernel(x, w, "conv_transpose2d", 0)
     n, c, h, wd = x.data.shape

@@ -43,8 +43,10 @@ PREDICT_BATCH = 4
 
 
 def worker_count() -> int:
-    """Threads ``evaluate`` predicts on: always 1, the calling thread. BLAS
-    already keeps every core busy inside the convolutions."""
+    """Threads ``evaluate`` predicts on: always 1, the calling thread. The
+    convolutions' BLAS calls do not keep every core busy (README,
+    "Determinism"); predicting samples in parallel waits on a cut in
+    inference memory."""
     return 1
 
 

@@ -233,13 +233,14 @@ def _unit_probe(loss_at, shape):
 def _check_conv2d_grads(rng, n, k, needs):
     """Checks conv2d's input and weight gradients against the loop oracle
     for each (need_x, need_w) in needs; a gradient not asked for stays None."""
-    zero_bias = np.zeros(3)
     # 5x4 is non-square; at 2x2 and 1x1 a k > H kernel's taps fall wholly
-    # in the padding
-    for h, wd in ((5, 4), (2, 2), (1, 1)):
+    # in the padding; H*W < F (1x1 with F = 3, and F = 5 at 2x2 and 1x3)
+    # is weight-bound
+    for f, h, wd in ((3, 5, 4), (3, 2, 2), (3, 1, 1), (5, 2, 2), (5, 1, 3)):
+        zero_bias = np.zeros(f)
         x = rng.standard_normal((n, 2, h, wd))
-        r = rng.standard_normal((n, 3, h, wd))
-        w = rng.standard_normal((3, 2, k, k))
+        r = rng.standard_normal((n, f, h, wd))
+        w = rng.standard_normal((f, 2, k, k))
         want_x = want_w = None
         if any(need_x for need_x, _ in needs):
             want_x = _unit_probe(
@@ -455,6 +456,22 @@ def test_sgd_basic_steps():
     q.grad = np.array([0.0])
     sgd_step([("q", q)], lr=0.1, weight_decay=1e-4)
     np.testing.assert_allclose(q.data, [0.99999])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4, 0.5])
+def test_sgd_step_matches_expression_bit_for_bit(weight_decay):
+    rng = rngmod.stream(40, f"sgd-bits-{weight_decay}")
+    # parameters of several sizes share the step's scratch array
+    shapes = ((4, 3, 3, 3), (4,), (2, 5), (), (7, 4, 1, 1))
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    grads = [rng.standard_normal(s) for s in shapes]
+    want = [p.data - 0.05 * (g + weight_decay * p.data) for p, g in zip(params, grads)]
+    for p, g in zip(params, grads):
+        p.grad = g
+    sgd_step([(f"p{i}", p) for i, p in enumerate(params)], lr=0.05, weight_decay=weight_decay)
+    for p, w in zip(params, want):
+        assert p.grad is None
+        assert p.data.tobytes() == w.tobytes()
 
 
 def test_sgd_lr_zero_is_noop():

@@ -96,15 +96,33 @@ def test_conv2d_matches_loop_oracle_many_shapes():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_shifted_taps_match_loop_oracle(n, k):
     # at 1x1 and 2x2 (the ConvLSTM and bottleneck scale) a k > H kernel has
-    # taps wholly in the padding; 5x4 is non-square; C = 1 is the stem
+    # taps wholly in the padding; 5x4 is non-square; C = 1 is the stem;
+    # H*W < F (1x1 with F = 3, and F = 5 at 2x2 and 1x3) is weight-bound
     rng = rngmod.stream(13, f"conv-taps-{n}-{k}")
-    for c, f, h, w_ in ((2, 3, 1, 1), (2, 3, 2, 2), (2, 3, 5, 4), (1, 4, 5, 4)):
+    shapes = ((2, 3, 1, 1), (2, 3, 2, 2), (2, 3, 5, 4), (1, 4, 5, 4), (2, 5, 2, 2), (2, 5, 1, 3))
+    for c, f, h, w_ in shapes:
         x = rng.standard_normal((n, c, h, w_))
         wt = rng.standard_normal((f, c, k, k))
         b = rng.standard_normal(f)
         got = conv2d(t(x), t(wt), t(b)).data
         want = oracles.conv2d_loops(x, wt, b, stride=1, pad=k // 2)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_weight_bound_conv2d_is_batch_invariant():
+    # H*W < F takes the per-sample patch-matrix GEMM; each sample's output
+    # must not depend on the batch it rides in, nor on its place there
+    rng = rngmod.stream(14, "conv-weight-bound-batch")
+    perm = [2, 0, 1]
+    for c, f, h, w_, k in ((7, 11, 2, 2, 3), (7, 11, 1, 3, 5), (7, 11, 2, 2, 1)):
+        x = rng.standard_normal((3, c, h, w_))
+        wt, b = t(rng.standard_normal((f, c, k, k))), t(rng.standard_normal(f))
+        batch = conv2d(t(x), wt, b).data
+        permuted = conv2d(t(x[perm]), wt, b).data
+        for s in range(3):
+            alone = conv2d(t(x[s:s + 1]), wt, b).data[0]
+            np.testing.assert_array_equal(batch[s], alone)
+            np.testing.assert_array_equal(permuted[perm.index(s)], alone)
 
 
 # ---------------------------------------------------------------------------
