@@ -14,12 +14,15 @@ With no graph active, operations are pure evaluation and keep no references.
 fewer pixels than the conv has filters (H*W < F), the weight is the larger
 operand: the forward is one GEMM per sample over the sample's patch matrix,
 with the weight read in its stored layout, and the backward is one GEMM per
-gradient over the whole batch. Otherwise the forward is shifted GEMMs over
-the input's zero-padded canvas (``_shifted_taps``), building no patch
-matrix, and the backward shares ``conv_transpose2d``'s (``_grads_from_taps``):
-per sample, one gather of the output gradient's taps and two GEMMs. On that
-path, and in ``conv_transpose2d``, the temporaries cover one sample, not the
-batch. Both ``conv2d`` paths run the forward one sample at a time.
+gradient over the whole batch. Otherwise the forward is kn2row over the
+input's zero-padded canvas (``_shifted_taps``): per sample, one GEMM of the
+tap-stacked weight with the whole canvas, then k*k shifted adds, building
+no patch matrix; the backward shares ``conv_transpose2d``'s
+(``_grads_from_taps``): per sample, one gather of the output gradient's
+taps and two GEMMs. On that path, and in ``conv_transpose2d``, the
+temporaries cover one sample, not the batch. Both ``conv2d`` paths run the
+forward one sample at a time. The 2x2 pools read the input's four strided
+quarters in place and copy no windows.
 Batchnorm and ReLU make the fewest passes over memory they can: both
 ``batchnorm2d`` modes write one output array, and its one vjp for both
 modes rebuilds xhat from the input instead of keeping a copy of it;
@@ -383,30 +386,38 @@ def upsample_nearest(x: Tensor) -> Tensor:
 # convolution
 
 
+def _tap_offsets(k: int, wp: int) -> list[int]:
+    """Where tap (i, j) starts in a flat canvas of row width ``wp``, in
+    (i, j) row-major order."""
+    return [i * wp + j for i in range(k) for j in range(k)]
+
+
 def _shifted_taps(a: np.ndarray, k: int):
-    """For each (C, H, W) sample of ``a``, yield its k*k "same"-correlation
-    taps, read in place from one flat zero-padded canvas.
+    """For each (C, H, W) sample of ``a``, yield its flat zero-padded canvas
+    and its k*k "same"-correlation taps, read in place from that canvas.
 
     The sample is padded by k // 2 into a (C, (Hp+1)*Wp) canvas; tap (i, j)
-    is the (C, H*Wp) slice at offset i*Wp + j, whose column y*Wp + x lines
-    up with output pixel (y, x). Columns with x >= W are junk. The spare row
-    keeps the last tap in bounds. One canvas is reused across samples: only
-    its interior is rewritten, so its border stays zero. A 1x1 kernel needs
-    no padding, so its one tap is the sample itself and no canvas is built.
+    is the (C, H*Wp) slice at offset i*Wp + j (``_tap_offsets``), whose
+    column y*Wp + x lines up with output pixel (y, x). Columns with x >= W
+    are junk. The spare row keeps the last tap in bounds. One canvas is
+    reused across samples: only its interior is rewritten, so its border
+    stays zero. A 1x1 kernel needs no padding, so its canvas and its one tap
+    are the sample itself, read as (C, H*W).
     """
     n, c, h, w = a.shape
     if k == 1:
         for s in range(n):
-            yield [a[s].reshape(c, -1)]
+            flat = a[s].reshape(c, -1)
+            yield flat, [flat]
         return
     pad = k // 2
     wp = w + 2 * pad
     padded = np.zeros((c, h + 2 * pad + 1, wp))
     flat = padded.reshape(c, -1)
-    offsets = [i * wp + j for i in range(k) for j in range(k)]
+    offsets = _tap_offsets(k, wp)
     for s in range(n):
         padded[:, pad:pad + h, pad:pad + w] = a[s]
-        yield [flat[:, o:o + h * wp] for o in offsets]
+        yield flat, [flat[:, o:o + h * wp] for o in offsets]
 
 
 def _gather_patches(taps, h: int, wd: int, out: np.ndarray) -> None:
@@ -428,7 +439,7 @@ def _patch_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     wmat = w.reshape(f, -1)
     res = np.empty((n, f, h, wd))
     cols = np.empty((c, k * k, h, wd)) if k > 1 else None
-    for s, taps in enumerate(_shifted_taps(a, k)):
+    for s, (_, taps) in enumerate(_shifted_taps(a, k)):
         if k == 1:
             patches = taps[0]
         else:
@@ -450,7 +461,7 @@ def _patch_grads(go: np.ndarray, xd: np.ndarray, w: np.ndarray, need_x: bool, ne
     gx = gw = None
     if need_w:
         cols = np.empty((c, k * k, n, h, wd))
-        for s, taps in enumerate(_shifted_taps(xd, k)):
+        for s, (_, taps) in enumerate(_shifted_taps(xd, k)):
             _gather_patches(taps, h, wd, cols[:, :, s])
         gw = (g @ cols.reshape(c * k * k, n * h * wd).T).reshape(w.shape)
     if need_x:
@@ -469,22 +480,36 @@ def _patch_grads(go: np.ndarray, xd: np.ndarray, w: np.ndarray, need_x: bool, ne
 
 def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
-    (F, C, k, k) kernel ``w``: the sum over taps of w[:, :, i, j] @ tap(i, j),
-    accumulated in one (F, H*Wp) buffer whose first W columns of each image
-    row are the output row."""
+    (F, C, k, k) kernel ``w`` by kn2row: per sample, one GEMM of the
+    tap-stacked (k*k*F, C) weight with the sample's whole (C, L) canvas,
+    into one reused (k*k, F, L) buffer. Tap (i, j)'s (F, L) slab, read from
+    that tap's canvas offset, lines up with the output, so the slabs are
+    summed in tap order into one (F, L) buffer, each as one contiguous run:
+    the first H*Wp columns of a row hold that output channel, W of every Wp
+    per image row, and the rest is junk. A 1x1 kernel's one slab is the
+    output, so its GEMM writes there directly."""
     f, c, k, _ = w.shape
     n, _, h, wd = a.shape
     wp = wd + 2 * (k // 2)
-    # tap-major (k*k, F, C) copy, so each tap's weights are one BLAS operand
-    wtaps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, f, c)
+    # tap-major (k*k*F, C) copy: row t*F + f is w[f, :, i, j] for tap t = (i, j)
+    wtaps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k * f, c)
     res = np.empty((n, f, h, wd))
-    acc = np.empty((f, h, wp))
-    acc_flat, prod = acc.reshape(f, -1), np.empty((f, h * wp))
-    for s, taps in enumerate(_shifted_taps(a, k)):
-        np.matmul(wtaps[0], taps[0], out=acc_flat)
-        for wt, tap in zip(wtaps[1:], taps[1:]):
-            acc_flat += np.matmul(wt, tap, out=prod)
-        res[s] = acc[:, :, :wd]
+    if k == 1:
+        for s, (canvas, _) in enumerate(_shifted_taps(a, k)):
+            np.matmul(wtaps, canvas, out=res[s].reshape(f, h * wd))
+        return res
+    length = (h + k) * wp
+    prod = np.empty((k * k, f * length))
+    run = (f - 1) * length + h * wp
+    slabs = [prod[t, o:o + run] for t, o in enumerate(_tap_offsets(k, wp))]
+    acc = np.empty((f, length))
+    acc_run = acc.reshape(-1)[:run]
+    for s, (canvas, _) in enumerate(_shifted_taps(a, k)):
+        np.matmul(wtaps, canvas, out=prod.reshape(k * k * f, length))
+        np.add(slabs[0], slabs[1], out=acc_run)
+        for slab in slabs[2:]:
+            acc_run += slab
+        res[s] = acc[:, :h * wp].reshape(f, h, wp)[:, :, :wd]
     return res
 
 
@@ -549,14 +574,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
       (``_patch_correlate``). The backward is one GEMM per gradient over
       the whole batch, plus a per-sample scatter-add of the input
       gradient's taps (``_patch_grads``).
-    - Otherwise: the forward is shifted GEMMs over the canvas, one per tap
-      with the weight copied tap-major, so no patch matrix of the input is
-      built (``_shifted_correlate``). Both gradients are correlations with
-      the output gradient, so the backward copies its k*k taps, minus their
-      junk columns, into one small (F*k*k, H*W) buffer per sample, and two
-      GEMMs read it (``_grads_from_taps``): the input gradient's, with the
-      kernel rotated 180 degrees and its channel axes swapped, and the
-      weight gradient's, with the sample.
+    - Otherwise: the forward is kn2row over the canvas. One GEMM per
+      sample multiplies the weight, copied tap-major as (k*k*F, C), with
+      the whole flat canvas; the output is the sum of the product's k*k
+      shifted (F, H, W) blocks, added in tap order. So no patch matrix of
+      the input is built, and the temporaries are that sample's canvas,
+      its (k*k*F, L) product and one (F, L) sum (``_shifted_correlate``).
+      Both gradients are correlations with the output gradient, so the
+      backward copies its k*k taps, minus their junk columns, into one
+      small (F*k*k, H*W) buffer per sample, and two GEMMs read it
+      (``_grads_from_taps``): the input gradient's, with the kernel rotated
+      180 degrees and its channel axes swapped, and the weight gradient's,
+      with the sample.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
@@ -581,7 +610,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         # kernel rotated 180 degrees, channel axes swapped, columns (f, i, j)
         wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1) if need_x else None
         sample_taps = (
-            [tap.reshape(f, h, -1)[:, :, :wd] for tap in taps] for taps in _shifted_taps(go, k)
+            [tap.reshape(f, h, -1)[:, :, :wd] for tap in taps] for _, taps in _shifted_taps(go, k)
         )
         gx, gw = _grads_from_taps(sample_taps, xd, wt, f, k, need_x, need_w)
         if need_w:
@@ -767,41 +796,63 @@ def softmax_channels(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # pooling over non-overlapping 2x2 windows
 #
-# Each backward adds 0.0 to the output gradient, so a -0.0 lands as +0.0:
-# the value a sum of contributions into a zero buffer gives.
+# Both pools read a window's four pixels as four strided quarters of the
+# input, x[:, :, i::2, j::2] for (i, j) in row-major order, in place. Each
+# backward adds 0.0 to the output gradient, so a -0.0 lands as +0.0: the
+# value a sum of contributions into a zero buffer gives.
+
+_QUARTERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _windows2(x: Tensor, op: str) -> np.ndarray:
-    """(N, C, H, W) -> (N, C, H/2, W/2, 4): each 2x2 window in row-major order."""
+def _quarters(x: Tensor, op: str) -> list[np.ndarray]:
+    """(N, C, H, W) -> four (N, C, H/2, W/2) views: each window's pixel
+    (i, j) for (i, j) in ``_QUARTERS``."""
     if x.data.ndim != 4:
         raise ShapeError(f"{op} needs NCHW input, got shape {x.shape}")
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[2:]
     if h % 2 or w % 2:
         raise ShapeError(f"{op} needs spatial extents divisible by 2, got {h}x{w}")
-    blocks = x.data.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return blocks.reshape(n, c, h // 2, w // 2, 4)
+    return [x.data[:, :, i::2, j::2] for i, j in _QUARTERS]
 
 
 def maxpool2d(x: Tensor) -> Tensor:
     """Maximum over non-overlapping 2x2 windows.
 
     Ties go to the first maximum in row-major order within the window, so
-    the backward routing target is unambiguous.
+    the backward routing target is unambiguous, and a NaN propagates. The
+    maximum is a chain of ``np.maximum(later, best)`` calls, which keep
+    ``best`` on a tie, -0.0 against +0.0 included. When x needs a gradient,
+    the window index of each maximum (of the first NaN in a NaN window) is
+    kept as one byte per output, and the vjp scatters into those quarters.
     """
-    flat = _windows2(x, "maxpool2d")
-    n, c, ho, wo, _ = flat.shape
-    idx = flat.argmax(axis=-1)[..., None]
-    out = np.take_along_axis(flat, idx, axis=-1)[..., 0]
+    qs = _quarters(x, "maxpool2d")
+    out = np.maximum(qs[1], qs[0])
+    for q in qs[2:]:
+        np.maximum(q, out, out=out)
+    idx = None
+    if x.requires_grad:
+        # the first quarter holding the maximum, or a NaN, wins
+        idx = np.full(out.shape, 3, dtype=np.uint8)
+        for t in (2, 1, 0):
+            np.copyto(idx, t, where=(qs[t] == out) | np.isnan(qs[t]))
+    full_shape = x.data.shape
 
     def vjp(go):
-        g = np.where(idx == np.arange(4), 0.0 + go[..., None], 0.0)
-        g = g.reshape(n, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        return (g.reshape(n, c, 2 * ho, 2 * wo),)
+        g = np.zeros(full_shape)
+        routed = 0.0 + go
+        for t, (i, j) in enumerate(_QUARTERS):
+            np.copyto(g[:, :, i::2, j::2], routed, where=idx == t)
+        return (g,)
 
     return _emit(out, (x,), vjp)
 
 
 def avgpool2d(x: Tensor) -> Tensor:
-    """Mean over non-overlapping 2x2 windows."""
-    out = _windows2(x, "avgpool2d").mean(axis=-1)
+    """Mean over non-overlapping 2x2 windows, summed in row-major order:
+    ((((0.0 + q0) + q1) + q2) + q3) / 4."""
+    qs = _quarters(x, "avgpool2d")
+    out = np.add(qs[0], 0.0)
+    for q in qs[1:]:
+        out += q
+    out /= 4
     return _emit(out, (x,), lambda go: (_repeat2(0.0 + go * 0.25),))

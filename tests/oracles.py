@@ -75,6 +75,29 @@ def maxpool2d_loops(x, k, stride):
     return out
 
 
+def maxpool2d_first_max_loops(x):
+    """2x2 max pooling that scans each window in row-major order and moves
+    to a later pixel only if it is larger, or if it is the window's first
+    NaN. Returns the pooled values and, per output, the (row, column) of the
+    pixel it came from."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // 2, w // 2))
+    src = np.zeros((n, c, h // 2, w // 2, 2), dtype=np.int64)
+    for ni in range(n):
+        for ci in range(c):
+            for oi in range(h // 2):
+                for oj in range(w // 2):
+                    best, at = None, None
+                    for ki in range(2):
+                        for kj in range(2):
+                            v = x[ni, ci, 2 * oi + ki, 2 * oj + kj]
+                            if best is None or v > best or (np.isnan(v) and not np.isnan(best)):
+                                best, at = v, (ki, kj)
+                    out[ni, ci, oi, oj] = best
+                    src[ni, ci, oi, oj] = at
+    return out, src
+
+
 def avgpool2d_loops(x, k, stride):
     n, c, h, w = x.shape
     ho = (h - k) // stride + 1

@@ -313,46 +313,56 @@ def test_conv_transpose2d_grads_match_loop_oracle(n, k):
                 assert t.grad is None
 
 
-def _conv_transient_case(op):
-    """A dense-layer-like conv2d, a (4, 48, 32, 32) input with 12 3x3
-    filters, or a transition-up-like conv_transpose2d, a (4, 48, 16, 16)
-    input with 48 3x3 filters. Returns the op call, its inputs and the bound
-    on its temporaries beyond its own output and gradient arrays, in single
-    sample inputs."""
+def _conv_transient_case(op, n=4):
+    """A dense-layer-like conv2d, an (n, 48, 32, 32) input with 12 3x3
+    filters, or a transition-up-like conv_transpose2d, an (n, 48, 16, 16)
+    input with 48 3x3 filters. Returns the op call, its inputs and the
+    bounds, in bytes, on its forward and its backward temporaries beyond its
+    own output and gradient arrays."""
     rng = rngmod.stream(37, "conv-transient")
     if op == "conv2d":
-        x = Tensor(rng.standard_normal((4, 48, 32, 32)), requires_grad=True)
+        x = Tensor(rng.standard_normal((n, 48, 32, 32)), requires_grad=True)
         w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w, Tensor(np.zeros(12), requires_grad=True)), conv2d
-        # one sample's padded canvas is about 1.2x its input, where its 3x3
-        # patch matrix would be 9x; one tap buffer of the 12-channel output
-        # gradient's 9 taps serves both the input and the weight gradient
-        bound = 4
+        # kn2row: one sample's zero-padded (C, L) canvas, L = (H+3)*(W+2),
+        # about 1.2x its input; the (9F, L) product of the tap-stacked
+        # weight with it, 2.6x; and the (F, L) accumulator, 0.3x. A batch's
+        # product would be 10x. A quarter of a sample input more covers
+        # the tap-major weight copy.
+        fwd = (48 + 9 * 12 + 12) * (35 * 34 * 8) + x.data[0].nbytes // 4
+        # one tap buffer of the 12-channel output gradient's 9 taps serves
+        # both the input and the weight gradient
+        bwd = 4 * x.data[0].nbytes
     else:
-        x = Tensor(rng.standard_normal((4, 48, 16, 16)), requires_grad=True)
+        x = Tensor(rng.standard_normal((n, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w), conv_transpose2d
         # one sample's (F*k*k, H*W) tap buffer is 9x its input; a batch's would be 36x
-        bound = 18
-    return lambda: call(*inputs), inputs, bound * x.data[0].nbytes
+        fwd = bwd = 18 * x.data[0].nbytes
+    return lambda: call(*inputs), inputs, fwd, bwd
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
 def test_conv2d_forward_transient_covers_one_sample(op):
-    run, _, bound = _conv_transient_case(op)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = run()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak - out.data.nbytes < bound
+    transient = {}
+    for n in (1, 4):
+        run, _, bound, _ = _conv_transient_case(op, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        transient[n] = peak - out.data.nbytes
+        assert transient[n] < bound
+    # the buffers are sized by one sample, so the batch does not grow them
+    assert abs(transient[4] - transient[1]) < 0.01 * bound
 
 
 @pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
 def test_conv2d_backward_transient_covers_one_sample(op):
-    run, inputs, bound = _conv_transient_case(op)
+    run, inputs, _, bound = _conv_transient_case(op)
     with Graph():
         out = run()
         loss = sum_all(out)

@@ -125,6 +125,23 @@ def test_weight_bound_conv2d_is_batch_invariant():
             np.testing.assert_array_equal(permuted[perm.index(s)], alone)
 
 
+def test_shifted_conv2d_is_batch_invariant():
+    # H*W >= F takes the per-sample kn2row GEMM over the canvas; each
+    # sample's output must not depend on the batch it rides in, nor on its
+    # place there. 4x3 with F = 12 is the boundary of the weight-bound path.
+    rng = rngmod.stream(15, "conv-shifted-batch")
+    perm = [2, 0, 1]
+    for c, f, h, w_, k in ((7, 12, 5, 4, 1), (7, 12, 4, 3, 3), (9, 12, 6, 5, 5), (16, 3, 9, 7, 3)):
+        x = rng.standard_normal((3, c, h, w_))
+        wt, b = t(rng.standard_normal((f, c, k, k))), t(rng.standard_normal(f))
+        batch = conv2d(t(x), wt, b).data
+        permuted = conv2d(t(x[perm]), wt, b).data
+        for s in range(3):
+            alone = conv2d(t(x[s:s + 1]), wt, b).data[0]
+            np.testing.assert_array_equal(batch[s], alone)
+            np.testing.assert_array_equal(permuted[perm.index(s)], alone)
+
+
 # ---------------------------------------------------------------------------
 # conv_transpose2d
 
@@ -319,7 +336,43 @@ def test_pool_matches_window_scan_oracle():
         got_max = maxpool2d(t(x)).data
         got_avg = avgpool2d(t(x)).data
         np.testing.assert_array_equal(got_max, oracles.maxpool2d_loops(x, 2, 2))
-        assert oracles.rel_err(got_avg, oracles.avgpool2d_loops(x, 2, 2)) < 1e-12
+        # the oracle sums each window in row-major order from 0.0, as the op does
+        np.testing.assert_array_equal(got_avg, oracles.avgpool2d_loops(x, 2, 2))
+
+
+def test_pool_special_values_match_window_scan_bytes():
+    # ties, -0.0 against +0.0 and NaN: maxpool keeps the first maximum in
+    # row-major order, value and gradient route, and a NaN propagates; the
+    # average's bytes, signed zeros included, are the row-major sum's
+    rng = rngmod.stream(22, "pool-special")
+    vals = np.array([-0.0, 0.0, 1.0, -1.0, 2.0, 2.0, np.nan])
+    seen = []
+    for shape in ((2, 3, 4, 6), (1, 2, 8, 34), (3, 2, 2, 2)):
+        x = vals[rng.integers(0, len(vals), shape)]
+        # channel 0 holds no positive value, so its windows tie at zero
+        x[:, 0] = vals[rng.integers(0, 4, x[:, 0].shape)]
+        go = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        go[go > 1.0] = -0.0
+        xt = Tensor(x, requires_grad=True)
+        with Graph():
+            got = maxpool2d(xt)
+            loss = sum_all(mul(got, Tensor(go)))
+        backward(loss)
+        want, src = oracles.maxpool2d_first_max_loops(x)
+        want_grad = np.zeros(shape)
+        for b, c, i, j in np.ndindex(go.shape):
+            di, dj = src[b, c, i, j]
+            want_grad[b, c, 2 * i + di, 2 * j + dj] = 0.0 + go[b, c, i, j]
+        seen.extend(got.data.ravel())
+        assert got.data.tobytes() == want.tobytes()
+        assert xt.grad.tobytes() == want_grad.tobytes()
+        avg = avgpool2d(t(x)).data
+        assert avg.tobytes() == oracles.avgpool2d_loops(x, 2, 2).tobytes()
+    # the draws did reach NaN maxima and zero maxima of both signs
+    seen = np.array(seen)
+    zero = seen == 0.0
+    assert np.isnan(seen).any()
+    assert (zero & np.signbit(seen)).any() and (zero & ~np.signbit(seen)).any()
 
 
 def test_pool_rejects_odd_extents():
