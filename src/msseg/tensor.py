@@ -10,19 +10,20 @@ is append-only, so reverse insertion order is a valid topological order,
 and ``backward`` is a single reversed sweep that pops each node as it runs
 it, freeing the node's closure on the way down. Only leaves get ``grad``.
 With no graph active, operations are pure evaluation and keep no references.
-``conv2d`` picks one of two paths from the shapes alone. When a sample has
-fewer pixels than the conv has filters (H*W < F), the weight is the larger
-operand: the forward is one GEMM per sample over the sample's patch matrix,
-with the weight read in its stored layout, and the backward is one GEMM per
-gradient over the whole batch. Otherwise the forward is kn2row over the
-input's zero-padded canvas (``_shifted_taps``): per sample, one GEMM of the
-tap-stacked weight with the whole canvas, then k*k shifted adds, building
-no patch matrix; the backward shares ``conv_transpose2d``'s
-(``_grads_from_taps``): per sample, one gather of the output gradient's
-taps and two GEMMs. On that path, and in ``conv_transpose2d``, the
-temporaries cover one sample, not the batch. Both ``conv2d`` paths run the
-forward one sample at a time. The 2x2 pools read the input's four strided
-quarters in place and copy no windows.
+``conv2d`` picks one of two paths from the shapes alone, and neither copies
+the input into a padded canvas. When a sample has fewer pixels than the conv
+has filters (H*W < F), the weight is the larger operand: the forward is one
+GEMM per sample over the sample's patch matrix, with the weight read in its
+stored layout, and the backward is one GEMM per gradient over the whole
+batch. Otherwise the forward is kn2row on the input read in place: per
+sample, one GEMM of the tap-stacked weight with the sample, then k*k
+shifted adds whose reads past the image edges land on zeros; the backward
+shares ``conv_transpose2d``'s (``_grads_from_taps``): per sample, one gather
+of the output gradient's taps and two GEMMs. Every gather copies each tap's
+in-image window into a zero-bordered buffer (``_tap_windows``). On the kn2row
+path, and in ``conv_transpose2d``, the temporaries cover one sample, not the
+batch. Both ``conv2d`` paths run the forward one sample at a time. The 2x2
+pools read the input's four strided quarters in place and copy no windows.
 Batchnorm and ReLU make the fewest passes over memory they can: both
 ``batchnorm2d`` modes write one output array, and its one vjp for both
 modes rebuilds xhat from the input instead of keeping a copy of it;
@@ -386,64 +387,55 @@ def upsample_nearest(x: Tensor) -> Tensor:
 # convolution
 
 
-def _tap_offsets(k: int, wp: int) -> list[int]:
-    """Where tap (i, j) starts in a flat canvas of row width ``wp``, in
-    (i, j) row-major order."""
-    return [i * wp + j for i in range(k) for j in range(k)]
+def _tap_windows(k: int, h: int, w: int) -> list[tuple]:
+    """The "same" k x k correlation over an H x W image, tap by tap in
+    (i, j) row-major order: for each tap, the (output window, input window)
+    pair of index tuples over the last two axes. Tap (i, j) reads input
+    pixel (y + i - k//2, x + j - k//2) for output pixel (y, x); the output
+    window holds the pixels whose read lies in the image, and a tap that
+    misses the image has two empty windows."""
+
+    def spans(d: int, n: int) -> tuple[slice, slice]:
+        lo, hi = max(0, -d), min(n, n - d)
+        if hi <= lo:
+            lo = hi = 0
+        return slice(lo, hi), slice(lo + d, hi + d)
+
+    p = k // 2
+    table = []
+    for i in range(k):
+        out_y, in_y = spans(i - p, h)
+        for j in range(k):
+            out_x, in_x = spans(j - p, w)
+            table.append(((..., out_y, out_x), (..., in_y, in_x)))
+    return table
 
 
-def _shifted_taps(a: np.ndarray, k: int):
-    """For each (C, H, W) sample of ``a``, yield its flat zero-padded canvas
-    and its k*k "same"-correlation taps, read in place from that canvas.
-
-    The sample is padded by k // 2 into a (C, (Hp+1)*Wp) canvas; tap (i, j)
-    is the (C, H*Wp) slice at offset i*Wp + j (``_tap_offsets``), whose
-    column y*Wp + x lines up with output pixel (y, x). Columns with x >= W
-    are junk. The spare row keeps the last tap in bounds. One canvas is
-    reused across samples: only its interior is rewritten, so its border
-    stays zero. A 1x1 kernel needs no padding, so its canvas and its one tap
-    are the sample itself, read as (C, H*W).
-    """
-    n, c, h, w = a.shape
-    if k == 1:
-        for s in range(n):
-            flat = a[s].reshape(c, -1)
-            yield flat, [flat]
-        return
-    pad = k // 2
-    wp = w + 2 * pad
-    padded = np.zeros((c, h + 2 * pad + 1, wp))
-    flat = padded.reshape(c, -1)
-    offsets = _tap_offsets(k, wp)
-    for s in range(n):
-        padded[:, pad:pad + h, pad:pad + w] = a[s]
-        yield flat, [flat[:, o:o + h * wp] for o in offsets]
-
-
-def _gather_patches(taps, h: int, wd: int, out: np.ndarray) -> None:
-    """Copy one sample's k*k canvas taps, minus their junk columns, into
-    ``out`` (C, k*k, H, W): the sample's patch matrix, rows in (c, i, j)
-    order, the column order of a (F, C, k, k) weight read as (F, C*k*k)."""
-    c = out.shape[0]
-    for t, tap in enumerate(taps):
-        out[:, t] = tap.reshape(c, h, -1)[:, :, :wd]
+def _gather_taps(windows, src: np.ndarray, dst: np.ndarray) -> None:
+    """Copy each tap's input window of ``src`` (C, ..., H, W) into its output
+    window of ``dst[:, t]``, for ``dst`` (C, T, ..., H, W). What lies outside
+    the windows is not written, so a zeroed ``dst`` keeps a zero border."""
+    for t, (into, read) in enumerate(windows):
+        dst[:, t][into] = src[read]
 
 
 def _patch_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
     (F, C, k, k) kernel ``w`` as one GEMM per sample: w read as (F, C*k*k)
     in place, times the sample's (C*k*k, H*W) patch matrix, gathered into
-    one reused buffer. A 1x1 kernel's patch matrix is the sample itself."""
+    one reused zero-bordered buffer. A 1x1 kernel's patch matrix is the
+    sample itself."""
     f, c, k, _ = w.shape
     n, _, h, wd = a.shape
     wmat = w.reshape(f, -1)
     res = np.empty((n, f, h, wd))
-    cols = np.empty((c, k * k, h, wd)) if k > 1 else None
-    for s, (_, taps) in enumerate(_shifted_taps(a, k)):
+    cols = np.zeros((c, k * k, h, wd)) if k > 1 else None
+    windows = _tap_windows(k, h, wd)
+    for s in range(n):
         if k == 1:
-            patches = taps[0]
+            patches = a[s].reshape(c, h * wd)
         else:
-            _gather_patches(taps, h, wd, cols)
+            _gather_taps(windows, a[s], cols)
             patches = cols.reshape(c * k * k, h * wd)
         np.matmul(wmat, patches, out=res[s].reshape(f, h * wd))
     return res
@@ -452,90 +444,107 @@ def _patch_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _patch_grads(go: np.ndarray, xd: np.ndarray, w: np.ndarray, need_x: bool, need_w: bool):
     """Both gradients of ``_patch_correlate`` as one GEMM each over the
     whole batch, with the output gradient read as G (F, N*H*W):
-    gw = G @ P.T, in the weight's own layout, for the batch's (C*k*k, N*H*W)
-    patch matrix P; gx's patch matrix w.T @ G, scatter-added back per sample
-    by tap (col2im). Each is None when not needed."""
+    gw = G @ P.T, in the weight's own layout, for the batch's zero-bordered
+    (C*k*k, N*H*W) patch matrix P; gx's patch matrix w.T @ G, each tap's
+    output window added into gx's input window in tap order (col2im).
+    Each is None when not needed."""
     f, c, k, _ = w.shape
     n, _, h, wd = xd.shape
     g = go.transpose(1, 0, 2, 3).reshape(f, n * h * wd)
+    windows = _tap_windows(k, h, wd)
     gx = gw = None
     if need_w:
-        cols = np.empty((c, k * k, n, h, wd))
-        for s, (_, taps) in enumerate(_shifted_taps(xd, k)):
-            _gather_patches(taps, h, wd, cols[:, :, s])
+        cols = np.zeros((c, k * k, n, h, wd))
+        _gather_taps(windows, xd.transpose(1, 0, 2, 3), cols)
         gw = (g @ cols.reshape(c * k * k, n * h * wd).T).reshape(w.shape)
     if need_x:
         gcols = (w.reshape(f, -1).T @ g).reshape(c, k * k, n, h, wd)
-        gx = np.empty((n, c, h, wd))
-        pad = k // 2
-        canvas = np.empty((c, h + 2 * pad, wd + 2 * pad))
-        for s in range(n):
-            canvas.fill(0.0)
-            for t in range(k * k):
-                i, j = divmod(t, k)
-                canvas[:, i:i + h, j:j + wd] += gcols[:, t, s]
-            gx[s] = canvas[:, pad:pad + h, pad:pad + wd]
+        gx = np.zeros((n, c, h, wd))
+        by_channel = gx.transpose(1, 0, 2, 3)
+        for t, (into, read) in enumerate(windows):
+            by_channel[read] += gcols[:, t][into]
     return gx, gw
 
 
 def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
-    (F, C, k, k) kernel ``w`` by kn2row: per sample, one GEMM of the
-    tap-stacked (k*k*F, C) weight with the sample's whole (C, L) canvas,
-    into one reused (k*k, F, L) buffer. Tap (i, j)'s (F, L) slab, read from
-    that tap's canvas offset, lines up with the output, so the slabs are
-    summed in tap order into one (F, L) buffer, each as one contiguous run:
-    the first H*Wp columns of a row hold that output channel, W of every Wp
-    per image row, and the rest is junk. A 1x1 kernel's one slab is the
-    output, so its GEMM writes there directly."""
+    (F, C, k, k) kernel ``w`` by kn2row, reading the sample in place.
+
+    Per sample, one GEMM multiplies the tap-stacked (k*k*F, C) weight with
+    the sample read as (C, H*W). It writes into the rows of one reused flat
+    buffer that begins with a gap of zeros and follows every H*W-column row
+    with one more, gap = (k//2)*(W+1). Tap (i, j)'s contribution to the
+    output is its (F, H*W) rows read at the flat shift (i - k//2)*W +
+    (j - k//2): a read above or below the image lands in a gap, and a read
+    past the left or right edge lands in the neighbouring image row, in
+    columns that are zeroed after each GEMM for that tap column. So each
+    tap is one contiguous run over all F rows, and the runs are summed in
+    tap order into one (F, H*W + gap) buffer whose first H*W columns per
+    row are the output. A 1x1 kernel's GEMM writes the output directly."""
     f, c, k, _ = w.shape
     n, _, h, wd = a.shape
-    wp = wd + 2 * (k // 2)
+    hw = h * wd
     # tap-major (k*k*F, C) copy: row t*F + f is w[f, :, i, j] for tap t = (i, j)
     wtaps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k * f, c)
     res = np.empty((n, f, h, wd))
     if k == 1:
-        for s, (canvas, _) in enumerate(_shifted_taps(a, k)):
-            np.matmul(wtaps, canvas, out=res[s].reshape(f, h * wd))
+        for s in range(n):
+            np.matmul(wtaps, a[s].reshape(c, hw), out=res[s].reshape(f, hw))
         return res
-    length = (h + k) * wp
-    prod = np.empty((k * k, f * length))
-    run = (f - 1) * length + h * wp
-    slabs = [prod[t, o:o + run] for t, o in enumerate(_tap_offsets(k, wp))]
-    acc = np.empty((f, length))
+    p = k // 2
+    gap = p * (wd + 1)
+    row = hw + gap
+    flat = np.zeros(gap + k * k * f * row)
+    prod = flat[gap:].reshape(k * k * f, row)[:, :hw]
+    # tap column j reads column x + j - p for output column x; where that
+    # passes an edge it reads the neighbouring image row's first j - p
+    # (j > p) or last p - j (j < p) columns, which are zeroed
+    by_col = prod.reshape(k, k, f, h, wd)
+    wraps = [by_col[:, j, :, :, :j - p] for j in range(p + 1, k)]
+    wraps += [by_col[:, j, :, :, max(0, wd - p + j):] for j in range(p)]
+    run = (f - 1) * row + hw
+    # tap (i, j)'s run starts (i - p)*W + j - p past its first row, which
+    # starts at gap + (i*k + j)*F*row
+    shifts = [(i * k + j) * f * row + (i - p) * wd + j - p for i in range(k) for j in range(k)]
+    slabs = [flat[gap + o:gap + o + run] for o in shifts]
+    acc = np.empty((f, row))
     acc_run = acc.reshape(-1)[:run]
-    for s, (canvas, _) in enumerate(_shifted_taps(a, k)):
-        np.matmul(wtaps, canvas, out=prod.reshape(k * k * f, length))
+    acc_out = acc[:, :hw]
+    for s in range(n):
+        np.matmul(wtaps, a[s].reshape(c, hw), out=prod)
+        for wrap in wraps:
+            wrap.fill(0.0)
         np.add(slabs[0], slabs[1], out=acc_run)
         for slab in slabs[2:]:
             acc_run += slab
-        res[s] = acc[:, :h * wp].reshape(f, h, wp)[:, :, :wd]
+        res[s].reshape(f, hw)[...] = acc_out
     return res
 
 
-def _grads_from_taps(sample_taps, xd, wmat, f, k, need_x, need_w):
-    """Both gradients of a convolution from its output gradient's taps.
+def _grads_from_taps(windows, go, xd, wmat, need_x, need_w):
+    """Both gradients of a convolution from its output gradient ``go``'s taps.
 
-    ``sample_taps`` yields each sample's k*k (F, H, W) output-gradient taps.
-    Per sample they are copied into one reused (F*k*k, H*W) buffer, rows in
-    (f, tap) order, except that a 1x1 kernel's one tap is read in place;
-    then gx[s] = wmat @ buf and gw += xd[s] @ buf.T, each sample's product
-    written into one reused buffer. Returns gx as (N, C, H, W) and gw as
-    (C, F*k*k), each None when not needed.
+    ``windows`` is the op's table of T taps, as ``_gather_taps`` reads it.
+    Per sample the taps are gathered into one reused zeroed (F*T, H*W)
+    buffer, rows in (f, tap) order, except that a lone tap whose window is
+    the whole output gradient is read in place; then gx[s] = wmat @ buf and
+    gw += xd[s] @ buf.T, each sample's product written into one reused
+    buffer. Returns gx as (N, C, H, W) and gw as (C, F*T), each None when
+    not needed.
     """
     n, c, h, wd = xd.shape
+    f, taps = go.shape[1], len(windows)
     gx = np.empty((n, c, h * wd)) if need_x else None
-    gw = np.zeros((c, f * k * k)) if need_w else None
-    prod = np.empty((c, f * k * k)) if need_w else None
-    by_tap = np.empty((f, k * k, h, wd)) if k > 1 else None
-    for s, taps in enumerate(sample_taps):
-        if k == 1:
-            # a view of the output gradient when its one tap is contiguous
-            buf = taps[0].reshape(f, h * wd)
+    gw = np.zeros((c, f * taps)) if need_w else None
+    prod = np.empty((c, f * taps)) if need_w else None
+    in_place = taps == 1 and go.shape[2:] == (h, wd)
+    by_tap = None if in_place else np.zeros((f, taps, h, wd))
+    for s in range(n):
+        if in_place:
+            buf = go[s].reshape(f, h * wd)
         else:
-            for t, tap in enumerate(taps):
-                by_tap[:, t] = tap
-            buf = by_tap.reshape(f * k * k, h * wd)
+            _gather_taps(windows, go[s], by_tap)
+            buf = by_tap.reshape(f * taps, h * wd)
         if need_x:
             np.matmul(wmat, buf, out=gx[s])
         if need_w:
@@ -565,27 +574,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     The algorithm follows from the shapes alone, never from the batch size,
     so a sample's output is the same bit for bit in any batch. Both paths
-    read the input's zero-padded canvas (``_shifted_taps``) and run the
-    forward one sample at a time.
+    read the input where it lies, pad nothing, and run the forward one
+    sample at a time.
 
     - Weight-bound (H*W < F, a sample's patch matrix is smaller than the
       weight): the forward is one GEMM per sample, the weight read as
-      (F, C*k*k) where it lies times the sample's patch matrix
-      (``_patch_correlate``). The backward is one GEMM per gradient over
-      the whole batch, plus a per-sample scatter-add of the input
-      gradient's taps (``_patch_grads``).
-    - Otherwise: the forward is kn2row over the canvas. One GEMM per
-      sample multiplies the weight, copied tap-major as (k*k*F, C), with
-      the whole flat canvas; the output is the sum of the product's k*k
-      shifted (F, H, W) blocks, added in tap order. So no patch matrix of
-      the input is built, and the temporaries are that sample's canvas,
-      its (k*k*F, L) product and one (F, L) sum (``_shifted_correlate``).
-      Both gradients are correlations with the output gradient, so the
-      backward copies its k*k taps, minus their junk columns, into one
-      small (F*k*k, H*W) buffer per sample, and two GEMMs read it
-      (``_grads_from_taps``): the input gradient's, with the kernel rotated
-      180 degrees and its channel axes swapped, and the weight gradient's,
-      with the sample.
+      (F, C*k*k) where it lies times the sample's patch matrix, gathered
+      tap by tap into a zero-bordered buffer (``_patch_correlate``). The
+      backward is one GEMM per gradient over the whole batch, and the input
+      gradient adds each tap's window back in tap order (``_patch_grads``).
+    - Otherwise: the forward is kn2row. One GEMM per sample multiplies the
+      weight, copied tap-major as (k*k*F, C), with the sample read as
+      (C, H*W); the output is the sum of the product's k*k shifted (F, H, W)
+      blocks, added in tap order, where zeroed gaps and columns stand in
+      for the padding. So no patch matrix and no padded copy of the input
+      is built, and the temporaries are that sample's (k*k*F, H*W + gap)
+      product and one (F, H*W + gap) sum (``_shifted_correlate``). Both
+      gradients are correlations with the output gradient, so the backward
+      gathers its k*k taps into one small zero-bordered (F*k*k, H*W) buffer
+      per sample, and two GEMMs read it (``_grads_from_taps``): the input
+      gradient's, with the kernel rotated 180 degrees and its channel axes
+      swapped, and the weight gradient's, with the sample.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
@@ -609,10 +618,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             return (*_patch_grads(go, xd, wdata, need_x, need_w), gb)
         # kernel rotated 180 degrees, channel axes swapped, columns (f, i, j)
         wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1) if need_x else None
-        sample_taps = (
-            [tap.reshape(f, h, -1)[:, :, :wd] for tap in taps] for _, taps in _shifted_taps(go, k)
-        )
-        gx, gw = _grads_from_taps(sample_taps, xd, wt, f, k, need_x, need_w)
+        windows = _tap_windows(k, h, wd)
+        gx, gw = _grads_from_taps(windows, go, xd, wt, need_x, need_w)
         if need_w:
             # tap (i, j) of the buffer pairs with kernel entry (k-1-i, k-1-j)
             gw = gw.reshape(c, f, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -643,22 +650,23 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     f = w.data.shape[1]
     xd = x.data
     wmat = w.data.reshape(c, f * k * k)
-    windows = [np.s_[:, i:i + 2 * h:2, j:j + 2 * wd:2] for i in range(k) for j in range(k)]
+    # per tap (i, j): its whole (F, H, W) block of a tap buffer, and its
+    # stride-2 window of the output
+    windows = [(..., np.s_[..., i:i + 2 * h:2, j:j + 2 * wd:2]) for i in range(k) for j in range(k)]
     out = np.zeros((n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k))
     # one reused buffer holds each sample's taps, rows in (f, i, j) order
     cols = np.empty((f * k * k, h * wd))
     taps = cols.reshape(f, k * k, h, wd)
     for s in range(n):
         np.matmul(wmat.T, xd[s].reshape(c, h * wd), out=cols)
-        for t, win in enumerate(windows):
+        for t, (_, win) in enumerate(windows):
             out[s][win] += taps[:, t]
 
     need_x, need_w = x.requires_grad, w.requires_grad
     wshape = w.data.shape
 
     def vjp(go):
-        sample_taps = ([go[s][win] for win in windows] for s in range(n))
-        gx, gw = _grads_from_taps(sample_taps, xd, wmat, f, k, need_x, need_w)
+        gx, gw = _grads_from_taps(windows, go, xd, wmat, need_x, need_w)
         return gx, (gw.reshape(wshape) if need_w else None)
 
     return _emit(out, (x, w), vjp)

@@ -149,7 +149,9 @@ def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
                 fresh = [np.concatenate([f[first - lo :], g]) for f, g in zip(window, fresh)]
             window, lo, hi = fresh, first, stop
         rows = rows - lo
-        center_skips = [Tensor(f[rows[:, 1]]) for f in window[:-1]]
+        # the chunk's centers are consecutive slices, so their skips are views
+        c0 = rows[0, 1]
+        center_skips = [Tensor(f[c0 : c0 + len(rows)]) for f in window[:-1]]
         steps = [Tensor(window[-1][rows[:, k]]) for k in range(3)]
         prob = decode(params, center_skips, steps, "eval").data
         out[start : start + len(rows)] = np.argmax(prob, axis=1).astype(np.uint8)

@@ -235,8 +235,12 @@ def _check_conv2d_grads(rng, n, k, needs):
     for each (need_x, need_w) in needs; a gradient not asked for stays None."""
     # 5x4 is non-square; at 2x2 and 1x1 a k > H kernel's taps fall wholly
     # in the padding; H*W < F (1x1 with F = 3, and F = 5 at 2x2 and 1x3)
-    # is weight-bound
-    for f, h, wd in ((3, 5, 4), (3, 2, 2), (3, 1, 1), (5, 2, 2), (5, 1, 3)):
+    # is weight-bound; at 1x3, 3x1 and 2x7 with F <= H*W a k = 5 kernel on
+    # the kn2row path reaches past the image on every side
+    shapes = (
+        (3, 5, 4), (3, 2, 2), (3, 1, 1), (5, 2, 2), (5, 1, 3), (3, 1, 3), (3, 3, 1), (4, 2, 7)
+    )
+    for f, h, wd in shapes:
         zero_bias = np.zeros(f)
         x = rng.standard_normal((n, 2, h, wd))
         r = rng.standard_normal((n, f, h, wd))
@@ -276,10 +280,10 @@ def test_conv2d_input_grad_matches_loop_oracle(n, k):
     _check_conv2d_grads(rngmod.stream(36, f"conv-xgrad-{n}-{k}"), n, k, ((True, False),))
 
 
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv2d_bias_only_grad(k):
     rng = rngmod.stream(39, f"conv-bgrad-{k}")
-    for h, wd in ((5, 4), (1, 1)):
+    for h, wd in ((5, 4), (1, 1), (1, 3), (3, 1), (2, 7)):
         x = Tensor(rng.standard_normal((2, 2, h, wd)))
         w = Tensor(rng.standard_normal((3, 2, k, k)))
         b = Tensor(np.zeros(3), requires_grad=True)
@@ -324,15 +328,16 @@ def _conv_transient_case(op, n=4):
         x = Tensor(rng.standard_normal((n, 48, 32, 32)), requires_grad=True)
         w = Tensor(rng.standard_normal((12, 48, 3, 3)), requires_grad=True)
         inputs, call = (x, w, Tensor(np.zeros(12), requires_grad=True)), conv2d
-        # kn2row: one sample's zero-padded (C, L) canvas, L = (H+3)*(W+2),
-        # about 1.2x its input; the (9F, L) product of the tap-stacked
-        # weight with it, 2.6x; and the (F, L) accumulator, 0.3x. A batch's
-        # product would be 10x. A quarter of a sample input more covers
-        # the tap-major weight copy.
-        fwd = (48 + 9 * 12 + 12) * (35 * 34 * 8) + x.data[0].nbytes // 4
-        # one tap buffer of the 12-channel output gradient's 9 taps serves
-        # both the input and the weight gradient
-        bwd = 4 * x.data[0].nbytes
+        # kn2row reads the sample in place: the (9F, H*W + gap) product of
+        # the tap-stacked weight with it, gap = W + 1, about 2.3x its input,
+        # and the (F, H*W + gap) accumulator, 0.26x; a padded copy of the
+        # input would add 1.2x, and a batch's product 9x. A quarter of a
+        # sample input more covers the gaps and the tap-major weight copy.
+        fwd = (9 * 12 + 12) * (32 * 32 + 33) * 8 + x.data[0].nbytes // 4
+        # one zero-bordered buffer of the 12-channel output gradient's 9
+        # taps, 2.25x, serves both the input and the weight gradient; half a
+        # sample input more covers the weight gradient's small buffers
+        bwd = 9 * 12 * 32 * 32 * 8 + x.data[0].nbytes // 2
     else:
         x = Tensor(rng.standard_normal((n, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)

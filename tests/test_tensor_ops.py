@@ -93,13 +93,17 @@ def test_conv2d_matches_loop_oracle_many_shapes():
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
 def test_conv2d_shifted_taps_match_loop_oracle(n, k):
     # at 1x1 and 2x2 (the ConvLSTM and bottleneck scale) a k > H kernel has
     # taps wholly in the padding; 5x4 is non-square; C = 1 is the stem;
-    # H*W < F (1x1 with F = 3, and F = 5 at 2x2 and 1x3) is weight-bound
+    # H*W < F (1x1 with F = 3, and F = 5 at 2x2 and 1x3) is weight-bound;
+    # at 1x3, 3x1 and 2x7 with F <= H*W a k = 5 kernel on the kn2row path
+    # reaches past the image on every side, and a k = 7 one reaches more
+    # than a whole 2-pixel extent past it
     rng = rngmod.stream(13, f"conv-taps-{n}-{k}")
-    shapes = ((2, 3, 1, 1), (2, 3, 2, 2), (2, 3, 5, 4), (1, 4, 5, 4), (2, 5, 2, 2), (2, 5, 1, 3))
+    shapes = ((2, 3, 1, 1), (2, 3, 2, 2), (2, 3, 5, 4), (1, 4, 5, 4), (2, 5, 2, 2), (2, 5, 1, 3),
+              (2, 3, 1, 3), (2, 3, 3, 1), (2, 4, 2, 7))
     for c, f, h, w_ in shapes:
         x = rng.standard_normal((n, c, h, w_))
         wt = rng.standard_normal((f, c, k, k))
@@ -126,12 +130,15 @@ def test_weight_bound_conv2d_is_batch_invariant():
 
 
 def test_shifted_conv2d_is_batch_invariant():
-    # H*W >= F takes the per-sample kn2row GEMM over the canvas; each
+    # H*W >= F takes the per-sample kn2row GEMM on the sample in place; each
     # sample's output must not depend on the batch it rides in, nor on its
-    # place there. 4x3 with F = 12 is the boundary of the weight-bound path.
+    # place there. 4x3 with F = 12 is the boundary of the weight-bound path;
+    # at 1x3, 3x1 and 2x7 a 5x5 kernel reaches past the image on every side.
     rng = rngmod.stream(15, "conv-shifted-batch")
     perm = [2, 0, 1]
-    for c, f, h, w_, k in ((7, 12, 5, 4, 1), (7, 12, 4, 3, 3), (9, 12, 6, 5, 5), (16, 3, 9, 7, 3)):
+    shapes = ((7, 12, 5, 4, 1), (7, 12, 4, 3, 3), (9, 12, 6, 5, 5), (16, 3, 9, 7, 3),
+              (7, 3, 1, 3, 5), (7, 3, 3, 1, 5), (7, 4, 2, 7, 5))
+    for c, f, h, w_, k in shapes:
         x = rng.standard_normal((3, c, h, w_))
         wt, b = t(rng.standard_normal((f, c, k, k))), t(rng.standard_normal(f))
         batch = conv2d(t(x), wt, b).data

@@ -29,6 +29,7 @@ from msseg.model import (
     ModelConfig,
     ablation_variants,
     build_model,
+    decode,
     encode,
     forward,
     named_tensors,
@@ -396,6 +397,33 @@ def test_predict_encodes_each_slice_once_within_a_bounded_window(monkeypatch):
     # new slices' float64 input and the output mask.
     assert len(held) == 4
     assert max(held) < (PREDICT_BATCH + 3) * slice_bytes
+
+
+def test_predict_decodes_center_skips_from_the_encoded_window(monkeypatch):
+    # two chunks; the first decodes from the first encoding's features as
+    # they are, and no chunk copies its centers' skips out of the window
+    depth = PREDICT_BATCH + 3
+    params = build_model(MINI)
+    vox = rngmod.stream(66, "views").random((depth, 16, 16), dtype=np.float32)
+    encoded, decoded = [], []
+
+    def encoding(params, x, mode, rng=None):
+        out = encode(params, x, mode, rng)
+        encoded.append([t.data for t in out[0]])
+        return out
+
+    def decoding(params, center_skips, steps, mode, rng=None):
+        decoded.append([t.data for t in center_skips])
+        return decode(params, center_skips, steps, mode, rng)
+
+    monkeypatch.setattr(train_module, "encode", encoding)
+    monkeypatch.setattr(train_module, "decode", decoding)
+    predict_with_params(params, Volume(vox))
+    assert len(decoded) == 2
+    for skip, feature in zip(decoded[0], encoded[0]):
+        assert np.shares_memory(skip, feature)
+    for skips in decoded:
+        assert not any(skip.flags.owndata for skip in skips)
 
 
 def test_predict_rejects_bad_geometry():
