@@ -142,15 +142,24 @@ class DenseBlockParams(list):
 def dense_block(x: Tensor, p: DenseBlockParams, mode: str, rng=None) -> Tensor:
     """Each layer reads the concat of the input and all previous outputs.
 
+    Every feed is a channel-prefix view of one buffer per call, holding the
+    input and then each layer's output: the first concat copies the input
+    and the first output, every later one only its layer's output, and each
+    layer's batchnorm reads its view in place. So each output is copied
+    once, and a taped block keeps one feed array, not one per layer. The
+    loop's last concat is never read.
+
     The block output concatenates only the layer outputs (the dense-path
     convention): len(p) * growth channels.
     """
+    n, c, *hw = x.data.shape
+    feeds = np.empty((n, c + len(p) * p[0].conv.out_channels, *hw))
     feed = x
     outputs = []
     for lay in p:
         y = dense_layer(feed, lay, mode, rng)
         outputs.append(y)
-        feed = concat_channels([feed, y])
+        feed = concat_channels([feed, y], into=feeds)
     return concat_channels(outputs)
 
 

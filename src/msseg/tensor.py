@@ -27,7 +27,11 @@ pools read the input's four strided quarters in place and copy no windows.
 Batchnorm and ReLU make the fewest passes over memory they can: both
 ``batchnorm2d`` modes write one output array, and its one vjp for both
 modes rebuilds xhat from the input instead of keeping a copy of it;
-``relu`` is one ``np.fmax`` pass.
+``relu`` is one ``np.fmax`` pass. ``concat_channels`` can write into a
+buffer the caller owns: its output is then a channel-prefix view of the
+buffer, and a piece that already lies in place is not copied. ``dense_block``
+grows one such buffer per call, so each layer's output is copied once and a
+taped block keeps one feed array. No op writes into the memory of its inputs.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
@@ -121,22 +125,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other) if isinstance(other, Tensor) else mul_scalar(self, other)
-
-    def __rmul__(self, other):
-        return mul_scalar(self, other)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul_scalar(other, -1.0))
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(mul_scalar(self, -1.0), float(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return div(self, other)
-        return mul_scalar(self, 1.0 / float(other))
 
 
 def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
@@ -343,8 +331,17 @@ def crop_spatial(x: Tensor, height: int, width: int) -> Tensor:
     return _sub_box(x, np.s_[:, :, :height, :width])
 
 
-def concat_channels(xs: Sequence[Tensor]) -> Tensor:
-    """Concatenate along axis 1. A single input passes through unchanged."""
+def concat_channels(xs: Sequence[Tensor], into: Optional[np.ndarray] = None) -> Tensor:
+    """Concatenate along axis 1. A single input passes through unchanged.
+
+    With ``into``, a float64 array of the same batch and spatial shape and
+    at least as many channels, the output is the view ``into[:, :width]``
+    and each piece is copied into its channel range in order, except a
+    piece that already lies exactly there (same address, same strides),
+    which is not copied. A piece may overlap ``into`` only where no earlier
+    piece is copied. Channels past ``width`` are not written, so the
+    prefixes that earlier calls returned keep their values (``dense_block``).
+    """
     if len(xs) == 0:
         raise ShapeError("concat_channels needs at least one tensor")
     if len(xs) == 1:
@@ -362,7 +359,21 @@ def concat_channels(xs: Sequence[Tensor]) -> Tensor:
     def vjp(go):
         return tuple(go[:, offsets[i]:offsets[i + 1]] for i in range(len(widths)))
 
-    return _emit(np.concatenate([t.data for t in xs], axis=1), tuple(xs), vjp)
+    if into is None:
+        return _emit(np.concatenate([t.data for t in xs], axis=1), tuple(xs), vjp)
+    s = into.shape
+    if (into.dtype != np.float64 or len(s) != len(first) or s[0] != first[0]
+            or s[2:] != first[2:] or s[1] < offsets[-1]):
+        raise ShapeError(
+            f"concat_channels into needs float64 with at least {offsets[-1]} channels "
+            f"and the pieces' batch/spatial shape {first}, got {into.dtype} {s}"
+        )
+    for t, lo, hi in zip(xs, offsets[:-1], offsets[1:]):
+        dst = into[:, lo:hi]
+        src = t.data
+        if src.ctypes.data != dst.ctypes.data or src.strides != dst.strides:
+            dst[...] = src
+    return _emit(into[:, :offsets[-1]], tuple(xs), vjp)
 
 
 def _repeat2(a: np.ndarray) -> np.ndarray:

@@ -30,7 +30,17 @@ from .model import (
     named_tensors,
     require_trainable,
 )
-from .tensor import Graph, Tensor, backward, sgd_step, slice_channels, sum_all
+from .tensor import (
+    Graph,
+    Tensor,
+    add_scalar,
+    backward,
+    div,
+    mul_scalar,
+    sgd_step,
+    slice_channels,
+    sum_all,
+)
 
 ProgressSink = Callable[[int, float, float], None]
 
@@ -64,7 +74,8 @@ def soft_dice_loss(prob: Tensor, gt: np.ndarray, eps: float = 1e-6) -> Tensor:
     inter = sum_all(p1 * target)
     psum = sum_all(p1)
     gsum = float(gt.sum())
-    return 1.0 - (2.0 * inter + eps) / (psum + (gsum + eps))
+    smoothed = div(add_scalar(mul_scalar(inter, 2.0), eps), add_scalar(psum, gsum + eps))
+    return add_scalar(mul_scalar(smoothed, -1.0), 1.0)
 
 
 def _require_ids(ids: list[str], dataset: Dataset, role: str) -> None:

@@ -12,6 +12,7 @@ from msseg.tensor import (
     Graph,
     Tensor,
     _emit,
+    add_scalar,
     avgpool2d,
     backward,
     batchnorm2d,
@@ -710,7 +711,7 @@ def test_grad_elementwise_arithmetic():
         gradcheck(lambda ts: projection(mul(ts[0], ts[1]), 1100 + case), [a, b])
         gradcheck(lambda ts: projection(div(ts[0], ts[1]), 1101 + case), [a, b])
         gradcheck(
-            lambda ts: projection(ts[0] * 2.0 + (ts[1] - 1.5), 1102 + case), [a, b]
+            lambda ts: projection(ts[0] * 2.0 + add_scalar(ts[1], -1.5), 1102 + case), [a, b]
         )
 
 

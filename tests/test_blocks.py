@@ -1,10 +1,12 @@
 """Composite block semantics, oracles, and gradient checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from msseg import blocks
 from msseg import rng as rngmod
 from msseg.blocks import (
     BatchNormParams,
@@ -25,7 +27,7 @@ from msseg.blocks import (
     transition_up,
 )
 from msseg.errors import ShapeError
-from msseg.tensor import Graph, Tensor, backward, concat_channels, mul, sum_all
+from msseg.tensor import Graph, Tensor, backward, batchnorm2d, concat_channels, mul, sum_all
 
 import oracles
 from test_autodiff import gradcheck, projection
@@ -118,6 +120,85 @@ def test_dense_block_matches_hand_unrolled_two_layers():
     y1 = dense_layer(feed1, p[1], "eval")
     want = np.concatenate([y0.data, y1.data], axis=1)
     np.testing.assert_array_equal(got, want)
+
+
+def _fresh_concat_ladder(x, p, mode, rng=None):
+    """The dense block as a ladder of fresh concats: every feed a new array."""
+    feed = x
+    outputs = []
+    for lay in p:
+        y = dense_layer(feed, lay, mode, rng)
+        outputs.append(y)
+        feed = concat_channels([feed, y])
+    return concat_channels(outputs)
+
+
+def _train_dense_step(block_fn):
+    """One train-mode block forward and backward at N = 3 with 3 layers and
+    dropout; returns the output, the running statistics and every gradient."""
+    p = DenseBlockParams.create(rngmod.stream(58, "db-ladder"), 5, 3, 4, 0.2)
+    x = rngmod.stream(58, "db-ladder-x").standard_normal((3, 5, 6, 7))
+    x = Tensor(x, requires_grad=True)
+    with Graph():
+        out = block_fn(x, p, "train", rngmod.stream(58, "db-ladder-drop"))
+        loss = projection(out, 5858)
+    backward(loss)
+    leaves = [x] + [a for lay in p for a in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
+    stats = [a.data for lay in p for a in (lay.bn.running_mean, lay.bn.running_var)]
+    return [out.data] + stats + [a.grad for a in leaves]
+
+
+def test_train_dense_block_is_bit_identical_to_a_fresh_concat_ladder():
+    got, want = _train_dense_step(dense_block), _train_dense_step(_fresh_concat_ladder)
+    assert len(got) == len(want) == 1 + 6 + 13
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_dense_block_feeds_share_one_buffer(monkeypatch):
+    seen = []
+
+    def spy(x, *rest):
+        seen.append(x.data)
+        return batchnorm2d(x, *rest)
+
+    monkeypatch.setattr(blocks, "batchnorm2d", spy)
+    rng = rngmod.stream(59, "db-share")
+    p = DenseBlockParams.create(rng, 3, 4, 2, 0.0)
+    x = t(rng.standard_normal((2, 3, 4, 4)))
+    dense_block(x, p, "eval")
+    assert seen[0] is x.data
+    base = seen[1].base
+    assert base is not None and base.shape == (2, 3 + 4 * 2, 4, 4)
+    for i, feed in enumerate(seen[1:], start=1):
+        assert feed.base is base and feed.ctypes.data == base.ctypes.data
+        assert feed.shape[1] == 3 + i * 2
+
+
+def test_train_dense_block_tape_keeps_one_feed():
+    """What a taped block keeps once its output is dropped: each layer's
+    ReLU output (its conv's input) and one feed buffer, not one feed per
+    layer. The fresh-concat ladder keeps 5 feeds of 8 to 24 channels."""
+    n, c0, layers, g, hw = 2, 4, 6, 4, 32
+    plane = n * hw * hw * 8
+    relu_outputs = sum(c0 + i * g for i in range(layers)) * plane
+    feeds = (c0 + layers * g) * plane
+    bound = relu_outputs + 1.5 * feeds
+    for block_fn, fits in ((dense_block, True), (_fresh_concat_ladder, False)):
+        p = DenseBlockParams.create(rngmod.stream(60, "db-tape"), c0, layers, g, 0.0)
+        x = rngmod.stream(60, "db-tape-x").standard_normal((n, c0, hw, hw))
+        x = Tensor(x, requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Graph() as graph:
+                out = block_fn(x, p, "train")
+            del out
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(graph) > 0
+        assert (kept < bound) == fits, (block_fn.__name__, kept / plane, bound / plane)
 
 
 def test_dense_block_bad_ladder_rejected_at_construction():

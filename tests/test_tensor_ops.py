@@ -446,6 +446,99 @@ def test_concat_spatial_mismatch_rejected():
         concat_channels([t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 3, 2)))])
 
 
+class _LoggedWrites(np.ndarray):
+    """An array whose views share one log of the item assignments into
+    them, as (address of the first item, channel count)."""
+
+    def __array_finalize__(self, obj):
+        self.writes = getattr(obj, "writes", None)
+
+    def __setitem__(self, key, value):
+        self.writes.append((self.ctypes.data, self.shape[1]))
+        super().__setitem__(key, value)
+
+
+def _logged_buffer(shape):
+    buf = np.full(shape, np.nan).view(_LoggedWrites)
+    buf.writes = []
+    return buf
+
+
+def test_concat_into_is_a_view_that_copies_only_pieces_not_in_place():
+    rng = rngmod.stream(60, "concat-into")
+    buf = _logged_buffer((2, 7, 3, 3))
+    at = buf.ctypes.data
+    a = t(rng.standard_normal((2, 3, 3, 3)))
+    b = t(rng.standard_normal((2, 2, 3, 3)))
+    c = t(rng.standard_normal((2, 2, 3, 3)))
+    first = concat_channels([a, b], into=buf)
+    assert first.data.shape == (2, 5, 3, 3)
+    assert first.data.ctypes.data == buf.ctypes.data and np.shares_memory(first.data, buf)
+    np.testing.assert_array_equal(first.data, np.concatenate([a.data, b.data], axis=1))
+    assert np.isnan(buf[:, 5:]).all()
+    assert buf.writes == [(at, 3), (at + 3 * 9 * 8, 2)]
+
+    # the first piece already lies where it goes: only the second is copied
+    buf.writes.clear()
+    second = concat_channels([first, c], into=buf)
+    assert second.data.shape == (2, 7, 3, 3) and second.data.ctypes.data == buf.ctypes.data
+    np.testing.assert_array_equal(second.data, np.concatenate([a.data, b.data, c.data], axis=1))
+    assert buf.writes == [(at + 5 * 9 * 8, 2)]
+    # the earlier prefix kept its values
+    np.testing.assert_array_equal(first.data, np.concatenate([a.data, b.data], axis=1))
+
+
+def test_concat_into_copies_a_piece_at_another_address_or_with_other_strides():
+    rng = rngmod.stream(61, "concat-into-moved")
+    buf = _logged_buffer((2, 5, 3, 3))
+    at = buf.ctypes.data
+    g = t(rng.standard_normal((2, 2, 3, 3)))
+    want = rng.standard_normal((2, 3, 3, 3))
+    buf[:, :3] = want
+    buf.writes.clear()
+    # the same values at another address
+    out = concat_channels([t(np.array(want)), g], into=buf)
+    assert buf.writes == [(at, 3), (at + 3 * 9 * 8, 2)]
+    np.testing.assert_array_equal(out.data, np.concatenate([want, g.data], axis=1))
+
+    # the right start address but a contiguous (2, 3, 3, 3) layout, whose
+    # sample 1 starts among sample 0's channels: copied, overlap and all
+    buf.writes.clear()
+    flat = np.asarray(buf).reshape(-1)
+    packed = flat[:2 * 3 * 9].reshape(2, 3, 3, 3)
+    assert packed.ctypes.data == buf.ctypes.data and packed.strides != buf[:, :3].strides
+    expect = np.concatenate([packed.copy(), g.data], axis=1)
+    out = concat_channels([t(packed), g], into=buf)
+    assert buf.writes == [(at, 3), (at + 3 * 9 * 8, 2)]
+    np.testing.assert_array_equal(out.data, expect)
+
+
+def test_concat_into_gradients_match_the_copying_path():
+    rng = rngmod.stream(62, "concat-into-grad")
+    a0, b0 = rng.standard_normal((2, 3, 4, 4)), rng.standard_normal((2, 2, 4, 4))
+    r = rng.standard_normal((2, 5, 4, 4))
+    grads = []
+    for into in (None, np.empty((2, 6, 4, 4))):
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        with Graph():
+            loss = sum_all(mul(concat_channels([a, b], into=into), t(r)))
+        backward(loss)
+        grads.append((a.grad, b.grad))
+    for want, got in zip(grads[0], grads[1]):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 4, 3, 3), (1, 9, 3, 3), (2, 9, 3, 4)], ids=["narrow", "batch", "spatial"]
+)
+def test_concat_into_shape_mismatch_rejected(shape):
+    pieces = [t(np.zeros((2, 3, 3, 3))), t(np.zeros((2, 2, 3, 3)))]
+    with pytest.raises(ShapeError, match="into"):
+        concat_channels(pieces, into=np.empty(shape))
+    with pytest.raises(ShapeError, match="into"):
+        concat_channels(pieces, into=np.empty((2, 9, 3, 3), dtype=np.float32))
+
+
 def test_upsample_blocks_and_inverse_pair():
     x = t([[[[1.0, 2.0], [3.0, 4.0]]]])
     up = upsample_nearest(x)
