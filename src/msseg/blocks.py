@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import (
     Tensor,
+    add,
     avgpool2d,
     batchnorm2d,
     concat_channels,
@@ -234,7 +235,7 @@ def sa_block(x: Tensor, p: SABlockParams, mode: str) -> Tensor:
     a = conv_block(a, p.attn1, mode)
     a = conv_block(a, p.attn2, mode)
     a = upsample_nearest(a)
-    return mul(x, a) + a
+    return add(mul(x, a), a)
 
 
 @dataclass
@@ -266,7 +267,7 @@ def convlstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, p: ConvLSTMParams
     f = sigmoid(conv2d(xh, p.forget.w, p.forget.b))
     g = tanh(conv2d(xh, p.cell.w, p.cell.b))
     o = sigmoid(conv2d(xh, p.output.w, p.output.b))
-    c_t = mul(f, c_prev) + mul(i, g)
+    c_t = add(mul(f, c_prev), mul(i, g))
     h_t = mul(o, tanh(c_t))
     return h_t, c_t
 

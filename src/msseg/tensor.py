@@ -10,20 +10,8 @@ is append-only, so reverse insertion order is a valid topological order,
 and ``backward`` is a single reversed sweep that pops each node as it runs
 it, freeing the node's closure on the way down. Only leaves get ``grad``.
 With no graph active, operations are pure evaluation and keep no references.
-``conv2d`` picks one of two paths from the shapes alone, and neither copies
-the input into a padded canvas. When a sample has fewer pixels than the conv
-has filters (H*W < F), the weight is the larger operand: the forward is one
-GEMM per sample over the sample's patch matrix, with the weight read in its
-stored layout, and the backward is one GEMM per gradient over the whole
-batch. Otherwise the forward is kn2row on the input read in place: per
-sample, one GEMM of the tap-stacked weight with the sample, then k*k
-shifted adds whose reads past the image edges land on zeros; the backward
-shares ``conv_transpose2d``'s (``_grads_from_taps``): per sample, one gather
-of the output gradient's taps and two GEMMs. Every gather copies each tap's
-in-image window into a zero-bordered buffer (``_tap_windows``). On the kn2row
-path, and in ``conv_transpose2d``, the temporaries cover one sample, not the
-batch. Both ``conv2d`` paths run the forward one sample at a time. The 2x2
-pools read the input's four strided quarters in place and copy no windows.
+``conv2d``'s docstring says how the convolutions run. The 2x2 pools read
+the input's four strided quarters in place and copy no windows.
 Batchnorm and ReLU make the fewest passes over memory they can: both
 ``batchnorm2d`` modes write one output array, and its one vjp for both
 modes rebuilds xhat from the input instead of keeping a copy of it;
@@ -118,13 +106,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # arithmetic sugar; the named functions below do the real work
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_scalar(self, other)
 
 
 def _emit(data: np.ndarray, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
@@ -422,59 +403,60 @@ def _tap_windows(k: int, h: int, w: int) -> list[tuple]:
     return table
 
 
-def _gather_taps(windows, src: np.ndarray, dst: np.ndarray) -> None:
-    """Copy each tap's input window of ``src`` (C, ..., H, W) into its output
-    window of ``dst[:, t]``, for ``dst`` (C, T, ..., H, W). What lies outside
-    the windows is not written, so a zeroed ``dst`` keeps a zero border."""
-    for t, (into, read) in enumerate(windows):
-        dst[:, t][into] = src[read]
+def _tap_gemms(windows, src: np.ndarray, hw: tuple, wmat=None, other=None):
+    """The products of each sample's tap matrix: the gather half of every
+    convolution product.
 
-
-def _patch_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The "same" correlation of each sample of ``a`` (N, C, H, W) with the
-    (F, C, k, k) kernel ``w`` as one GEMM per sample: w read as (F, C*k*k)
-    in place, times the sample's (C*k*k, H*W) patch matrix, gathered into
-    one reused zero-bordered buffer. A 1x1 kernel's patch matrix is the
-    sample itself."""
-    f, c, k, _ = w.shape
-    n, _, h, wd = a.shape
-    wmat = w.reshape(f, -1)
-    res = np.empty((n, f, h, wd))
-    cols = np.zeros((c, k * k, h, wd)) if k > 1 else None
-    windows = _tap_windows(k, h, wd)
+    For each sample s of ``src`` (N, F, ...), the T taps of ``windows``
+    (as ``_tap_windows`` lays them out) are copied into one reused, zeroed
+    (F*T, prod(hw)) buffer B, rows in (f, tap) order, so that what lies
+    outside a tap's window stays zero; a lone tap whose window is the whole
+    of ``src[s]`` is read in place. Returns the (N, rows, prod(hw)) stack of
+    wmat @ B and the sum of other[s] @ B.T, the first sample's product
+    written straight into the result; each is None without its operand.
+    """
+    n, f = src.shape[:2]
+    taps, cols = len(windows), int(np.prod(hw))
+    in_place = taps == 1 and src.shape[2:] == tuple(hw)
+    buf = None if in_place else np.zeros((f, taps, *hw))
+    left = None if wmat is None else np.empty((n, wmat.shape[0], cols))
+    right = prod = None
     for s in range(n):
-        if k == 1:
-            patches = a[s].reshape(c, h * wd)
+        sample = src[s]
+        if in_place:
+            patches = sample.reshape(f, cols)
         else:
-            _gather_taps(windows, a[s], cols)
-            patches = cols.reshape(c * k * k, h * wd)
-        np.matmul(wmat, patches, out=res[s].reshape(f, h * wd))
-    return res
+            for t, (into, read) in enumerate(windows):
+                buf[:, t][into] = sample[read]
+            patches = buf.reshape(f * taps, cols)
+        if wmat is not None:
+            np.matmul(wmat, patches, out=left[s])
+        if other is not None:
+            rows = other[s].reshape(-1, cols)
+            if s == 0:
+                right = rows @ patches.T
+                prod = np.empty_like(right) if n > 1 else None
+            else:
+                right += np.matmul(rows, patches.T, out=prod)
+    return left, right
 
 
-def _patch_grads(go: np.ndarray, xd: np.ndarray, w: np.ndarray, need_x: bool, need_w: bool):
-    """Both gradients of ``_patch_correlate`` as one GEMM each over the
-    whole batch, with the output gradient read as G (F, N*H*W):
-    gw = G @ P.T, in the weight's own layout, for the batch's zero-bordered
-    (C*k*k, N*H*W) patch matrix P; gx's patch matrix w.T @ G, each tap's
-    output window added into gx's input window in tap order (col2im).
-    Each is None when not needed."""
-    f, c, k, _ = w.shape
-    n, _, h, wd = xd.shape
-    g = go.transpose(1, 0, 2, 3).reshape(f, n * h * wd)
-    windows = _tap_windows(k, h, wd)
-    gx = gw = None
-    if need_w:
-        cols = np.zeros((c, k * k, n, h, wd))
-        _gather_taps(windows, xd.transpose(1, 0, 2, 3), cols)
-        gw = (g @ cols.reshape(c * k * k, n * h * wd).T).reshape(w.shape)
-    if need_x:
-        gcols = (w.reshape(f, -1).T @ g).reshape(c, k * k, n, h, wd)
-        gx = np.zeros((n, c, h, wd))
-        by_channel = gx.transpose(1, 0, 2, 3)
+def _tap_scatter(windows, wmat: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
+    """The adjoint of ``_tap_gemms``' gather, the scatter half of every
+    convolution product: for each sample s of ``src`` (N, C, ...), the
+    (F*T, ...) tap matrix wmat.T @ src[s], rows in (f, tap) order, is
+    computed into one reused buffer, and each tap's buffer window is added
+    into its window of ``dst[s]`` (N, F, ...) in tap order."""
+    n, c = src.shape[:2]
+    f, taps = dst.shape[1], len(windows)
+    prod = np.empty((wmat.shape[1], int(np.prod(src.shape[2:]))))
+    by_tap = prod.reshape(f, taps, *src.shape[2:])
+    wt = wmat.T
+    for s in range(n):
+        np.matmul(wt, src[s].reshape(c, -1), out=prod)
+        into_dst = dst[s]
         for t, (into, read) in enumerate(windows):
-            by_channel[read] += gcols[:, t][into]
-    return gx, gw
+            into_dst[read] += by_tap[:, t][into]
 
 
 def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -491,17 +473,13 @@ def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     columns that are zeroed after each GEMM for that tap column. So each
     tap is one contiguous run over all F rows, and the runs are summed in
     tap order into one (F, H*W + gap) buffer whose first H*W columns per
-    row are the output. A 1x1 kernel's GEMM writes the output directly."""
+    row are the output. The kernel is larger than 1x1."""
     f, c, k, _ = w.shape
     n, _, h, wd = a.shape
     hw = h * wd
     # tap-major (k*k*F, C) copy: row t*F + f is w[f, :, i, j] for tap t = (i, j)
     wtaps = np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k * f, c)
     res = np.empty((n, f, h, wd))
-    if k == 1:
-        for s in range(n):
-            np.matmul(wtaps, a[s].reshape(c, hw), out=res[s].reshape(f, hw))
-        return res
     p = k // 2
     gap = p * (wd + 1)
     row = hw + gap
@@ -532,37 +510,6 @@ def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     return res
 
 
-def _grads_from_taps(windows, go, xd, wmat, need_x, need_w):
-    """Both gradients of a convolution from its output gradient ``go``'s taps.
-
-    ``windows`` is the op's table of T taps, as ``_gather_taps`` reads it.
-    Per sample the taps are gathered into one reused zeroed (F*T, H*W)
-    buffer, rows in (f, tap) order, except that a lone tap whose window is
-    the whole output gradient is read in place; then gx[s] = wmat @ buf and
-    gw += xd[s] @ buf.T, each sample's product written into one reused
-    buffer. Returns gx as (N, C, H, W) and gw as (C, F*T), each None when
-    not needed.
-    """
-    n, c, h, wd = xd.shape
-    f, taps = go.shape[1], len(windows)
-    gx = np.empty((n, c, h * wd)) if need_x else None
-    gw = np.zeros((c, f * taps)) if need_w else None
-    prod = np.empty((c, f * taps)) if need_w else None
-    in_place = taps == 1 and go.shape[2:] == (h, wd)
-    by_tap = None if in_place else np.zeros((f, taps, h, wd))
-    for s in range(n):
-        if in_place:
-            buf = go[s].reshape(f, h * wd)
-        else:
-            _gather_taps(windows, go[s], by_tap)
-            buf = by_tap.reshape(f * taps, h * wd)
-        if need_x:
-            np.matmul(wmat, buf, out=gx[s])
-        if need_w:
-            gw += np.matmul(xd[s].reshape(c, -1), buf.T, out=prod)
-    return (gx.reshape(n, c, h, wd) if need_x else None), gw
-
-
 def _square_kernel(x: Tensor, w: Tensor, op: str, channel_axis: int) -> int:
     """Check that ``x`` and ``w`` are 4-d, that axis ``channel_axis`` of ``w``
     matches ``x``'s channels and that the kernel is square; return its side."""
@@ -584,39 +531,45 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     zero-padded by k // 2 on every side, so the output is (N, F, H, W).
 
     The algorithm follows from the shapes alone, never from the batch size,
-    so a sample's output is the same bit for bit in any batch. Both paths
-    read the input where it lies, pad nothing, and run the forward one
-    sample at a time.
+    so a sample's output is the same bit for bit in any batch. Every path
+    reads the input where it lies, pads nothing, and runs the forward one
+    sample at a time. Each patch-matrix product is one of two helpers:
+    ``_tap_gemms`` gathers a tensor's taps into a zero-bordered buffer and
+    multiplies it from the left and from the right, and ``_tap_scatter``,
+    its adjoint, multiplies and adds each tap back into its window.
 
-    - Weight-bound (H*W < F, a sample's patch matrix is smaller than the
-      weight): the forward is one GEMM per sample, the weight read as
-      (F, C*k*k) where it lies times the sample's patch matrix, gathered
-      tap by tap into a zero-bordered buffer (``_patch_correlate``). The
-      backward is one GEMM per gradient over the whole batch, and the input
-      gradient adds each tap's window back in tap order (``_patch_grads``).
-    - Otherwise: the forward is kn2row. One GEMM per sample multiplies the
-      weight, copied tap-major as (k*k*F, C), with the sample read as
-      (C, H*W); the output is the sum of the product's k*k shifted (F, H, W)
-      blocks, added in tap order, where zeroed gaps and columns stand in
-      for the padding. So no patch matrix and no padded copy of the input
-      is built, and the temporaries are that sample's (k*k*F, H*W + gap)
-      product and one (F, H*W + gap) sum (``_shifted_correlate``). Both
-      gradients are correlations with the output gradient, so the backward
-      gathers its k*k taps into one small zero-bordered (F*k*k, H*W) buffer
-      per sample, and two GEMMs read it (``_grads_from_taps``): the input
-      gradient's, with the kernel rotated 180 degrees and its channel axes
-      swapped, and the weight gradient's, with the sample.
+    - Forward, weight-bound (H*W < F, a sample's patch matrix is smaller
+      than the weight) or 1x1: ``_tap_gemms`` on x, with the weight read as
+      (F, C*k*k) where it lies; a 1x1 kernel's patch matrix is the sample.
+    - Forward, otherwise: kn2row (``_shifted_correlate``). One GEMM per
+      sample multiplies the weight, copied tap-major as (k*k*F, C), with the
+      sample read as (C, H*W); the output is the sum of the product's k*k
+      shifted (F, H, W) blocks, added in tap order, where zeroed gaps and
+      columns stand in for the padding, so no patch matrix is built.
+    - Backward, weight-bound: the batch is read as one sample of (N, H, W)
+      pixels, so each gradient is one GEMM: the weight gradient is the right
+      product of ``_tap_gemms`` on x with the output gradient, and the input
+      gradient is ``_tap_scatter`` of the output gradient (col2im).
+    - Backward, otherwise: both gradients are correlations with the output
+      gradient, so ``_tap_gemms`` gathers its taps per sample, and its left
+      product, with the kernel rotated 180 degrees and its channel axes
+      swapped, is the input gradient, and its right product, with the
+      sample, the weight gradient.
     """
     k = _square_kernel(x, w, "conv2d", 1)
     if k % 2 == 0:
         raise ShapeError(f"conv2d needs an odd kernel, got {k}x{k}")
-    _, c, h, wd = x.data.shape
+    n, c, h, wd = x.data.shape
     f = w.data.shape[0]
     if b.data.shape != (f,):
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
     xd, wdata = x.data, w.data
     weight_bound = h * wd < f
-    out = _patch_correlate(wdata, xd) if weight_bound else _shifted_correlate(wdata, xd)
+    if weight_bound or k == 1:
+        out = _tap_gemms(_tap_windows(k, h, wd), xd, (h, wd), wmat=wdata.reshape(f, -1))[0]
+        out = out.reshape(n, f, h, wd)
+    else:
+        out = _shifted_correlate(wdata, xd)
     out += b.data[None, :, None, None]
 
     need_x, need_w, need_b = x.requires_grad, w.requires_grad, b.requires_grad
@@ -625,12 +578,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gb = go.sum(axis=(0, 2, 3)) if need_b else None
         if not (need_x or need_w):
             return None, None, gb
+        windows = _tap_windows(k, h, wd)
         if weight_bound:
-            return (*_patch_grads(go, xd, wdata, need_x, need_w), gb)
+            # the batch as one sample of (N, H, W) pixels, so each gradient
+            # is one GEMM: gw = G @ P.T for the batch's patch matrix P, and
+            # gx adds each tap's window of w.T @ G back (col2im)
+            g = np.ascontiguousarray(go.transpose(1, 0, 2, 3))[None]
+            gx = gw = None
+            if need_w:
+                by_channel = xd.transpose(1, 0, 2, 3)[None]
+                gw = _tap_gemms(windows, by_channel, (n, h, wd), other=g)[1].reshape(wdata.shape)
+            if need_x:
+                gx = np.zeros((n, c, h, wd))
+                _tap_scatter(windows, wdata.reshape(f, -1), g, gx.transpose(1, 0, 2, 3)[None])
+            return gx, gw, gb
         # kernel rotated 180 degrees, channel axes swapped, columns (f, i, j)
         wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1) if need_x else None
-        windows = _tap_windows(k, h, wd)
-        gx, gw = _grads_from_taps(windows, go, xd, wt, need_x, need_w)
+        gx, gw = _tap_gemms(windows, go, (h, wd), wt, xd if need_w else None)
+        if need_x:
+            gx = gx.reshape(n, c, h, wd)
         if need_w:
             # tap (i, j) of the buffer pairs with kernel entry (k-1-i, k-1-j)
             gw = gw.reshape(c, f, k, k)[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
@@ -648,13 +614,13 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     cross-correlation with the same weight array read as (F, C, k, k):
     <xcorr(a; w), y> == <a, conv_transpose2d(y; w)>.
 
-    Like conv2d's shifted path it works one sample at a time, forward and
-    backward. The forward puts a sample's taps, wmat.T @ x[s], in one
-    (F*k*k, H*W) buffer and scatters tap (i, j) into the stride-2 window at
-    offset (i, j). The vjp reads the same
-    windows of the output gradient back into such a buffer, which is that
-    stride-2 cross-correlation's patch matrix, and both gradients are GEMMs
-    over that one gather (``_grads_from_taps``, as for that path).
+    Like conv2d it works one sample at a time, with the same two helpers
+    over stride-2 windows: tap (i, j) pairs its whole (F, H, W) block of
+    the tap matrix with the output's stride-2 window at offset (i, j). The
+    forward is ``_tap_scatter`` of wmat.T @ x[s] into those windows. The
+    vjp's ``_tap_gemms`` gathers the same windows of the output gradient,
+    which is that stride-2 cross-correlation's patch matrix, and its left
+    and right products are the input and weight gradients.
     """
     k = _square_kernel(x, w, "conv_transpose2d", 0)
     n, c, h, wd = x.data.shape
@@ -665,20 +631,14 @@ def conv_transpose2d(x: Tensor, w: Tensor) -> Tensor:
     # stride-2 window of the output
     windows = [(..., np.s_[..., i:i + 2 * h:2, j:j + 2 * wd:2]) for i in range(k) for j in range(k)]
     out = np.zeros((n, f, 2 * (h - 1) + k, 2 * (wd - 1) + k))
-    # one reused buffer holds each sample's taps, rows in (f, i, j) order
-    cols = np.empty((f * k * k, h * wd))
-    taps = cols.reshape(f, k * k, h, wd)
-    for s in range(n):
-        np.matmul(wmat.T, xd[s].reshape(c, h * wd), out=cols)
-        for t, (_, win) in enumerate(windows):
-            out[s][win] += taps[:, t]
+    _tap_scatter(windows, wmat, xd, out)
 
     need_x, need_w = x.requires_grad, w.requires_grad
     wshape = w.data.shape
 
     def vjp(go):
-        gx, gw = _grads_from_taps(windows, go, xd, wmat, need_x, need_w)
-        return gx, (gw.reshape(wshape) if need_w else None)
+        gx, gw = _tap_gemms(windows, go, (h, wd), wmat if need_x else None, xd if need_w else None)
+        return (gx.reshape(n, c, h, wd) if need_x else None), (gw.reshape(wshape) if need_w else None)
 
     return _emit(out, (x, w), vjp)
 

@@ -36,6 +36,7 @@ from .tensor import (
     add_scalar,
     backward,
     div,
+    mul,
     mul_scalar,
     sgd_step,
     slice_channels,
@@ -71,7 +72,7 @@ def soft_dice_loss(prob: Tensor, gt: np.ndarray, eps: float = 1e-6) -> Tensor:
         )
     p1 = slice_channels(prob, 1, 2)
     target = Tensor(gt.reshape(p1.data.shape))
-    inter = sum_all(p1 * target)
+    inter = sum_all(mul(p1, target))
     psum = sum_all(p1)
     gsum = float(gt.sum())
     smoothed = div(add_scalar(mul_scalar(inter, 2.0), eps), add_scalar(psum, gsum + eps))

@@ -323,7 +323,7 @@ def _block_instances(rng, i):
 
     def step_loss():
         h1, c1 = convlstm_step(x, h0, c0, lp)
-        return projected(h1, i) + projected(c1, i + 1)
+        return add(projected(h1, i), projected(c1, i + 1))
 
     cases.append(("convlstm_step", step_loss, [x, h0, c0] + lp_t))
 

@@ -12,6 +12,7 @@ from msseg.tensor import (
     Graph,
     Tensor,
     _emit,
+    add,
     add_scalar,
     avgpool2d,
     backward,
@@ -80,7 +81,7 @@ def test_backward_sum_gives_ones():
 def test_backward_half_square_gives_x():
     x = Tensor(np.arange(5, dtype=np.float64), requires_grad=True)
     with Graph():
-        loss = sum_all(mul(x, x)) * 0.5
+        loss = mul_scalar(sum_all(mul(x, x)), 0.5)
     backward(loss)
     np.testing.assert_allclose(x.grad, x.data, atol=1e-15)
 
@@ -88,7 +89,7 @@ def test_backward_half_square_gives_x():
 def test_backward_accumulates_across_fanout():
     x = Tensor(np.array([2.0]), requires_grad=True)
     with Graph():
-        loss = sum_all(x + x)
+        loss = sum_all(add(x, x))
     backward(loss)
     np.testing.assert_array_equal(x.grad, [2.0])
 
@@ -320,10 +321,11 @@ def test_conv_transpose2d_grads_match_loop_oracle(n, k):
 
 def _conv_transient_case(op, n=4):
     """A dense-layer-like conv2d, an (n, 48, 32, 32) input with 12 3x3
-    filters, or a transition-up-like conv_transpose2d, an (n, 48, 16, 16)
-    input with 48 3x3 filters. Returns the op call, its inputs and the
-    bounds, in bytes, on its forward and its backward temporaries beyond its
-    own output and gradient arrays."""
+    filters; a weight-bound conv2d like the ConvLSTM gates', an (n, 48, 2, 2)
+    input with 64 3x3 filters; or a transition-up-like conv_transpose2d, an
+    (n, 48, 16, 16) input with 48 3x3 filters. Returns the op call, its
+    inputs and the bounds, in bytes, on its forward and its backward
+    temporaries beyond its own output and gradient arrays."""
     rng = rngmod.stream(37, "conv-transient")
     if op == "conv2d":
         x = Tensor(rng.standard_normal((n, 48, 32, 32)), requires_grad=True)
@@ -339,6 +341,21 @@ def _conv_transient_case(op, n=4):
         # taps, 2.25x, serves both the input and the weight gradient; half a
         # sample input more covers the weight gradient's small buffers
         bwd = 9 * 12 * 32 * 32 * 8 + x.data[0].nbytes // 2
+    elif op == "conv2d_weight_bound":
+        x = Tensor(rng.standard_normal((n, 48, 2, 2)), requires_grad=True)
+        w = Tensor(rng.standard_normal((64, 48, 3, 3)), requires_grad=True)
+        inputs, call = (x, w, Tensor(np.zeros(64), requires_grad=True)), conv2d
+        # the forward gathers one sample's (C*k*k, H*W) tap buffer; half of
+        # one more covers the tap table and the views
+        taps = 48 * 9 * 2 * 2 * 8
+        fwd = taps + taps // 2
+        # the backward reads the batch as one sample: the batch's tap buffer,
+        # gathered for the weight gradient, and the input gradient's col2im
+        # product of the same size exist one at a time, beside one copy of
+        # the output gradient read as (F, N*H*W); one more tap buffer covers
+        # numpy's buffered per-tap adds. Keeping the gathered buffer while
+        # the col2im product exists would exceed it.
+        bwd = 2 * n * taps + n * 64 * 2 * 2 * 8
     else:
         x = Tensor(rng.standard_normal((n, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)
@@ -348,11 +365,12 @@ def _conv_transient_case(op, n=4):
     return lambda: call(*inputs), inputs, fwd, bwd
 
 
-@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+@pytest.mark.parametrize("op", ["conv2d", "conv2d_weight_bound", "conv_transpose2d"])
 def test_conv2d_forward_transient_covers_one_sample(op):
     transient = {}
     for n in (1, 4):
         run, _, bound, _ = _conv_transient_case(op, n)
+        run()  # an untraced call first, so one-time caches are not counted
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -366,7 +384,7 @@ def test_conv2d_forward_transient_covers_one_sample(op):
     assert abs(transient[4] - transient[1]) < 0.01 * bound
 
 
-@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+@pytest.mark.parametrize("op", ["conv2d", "conv2d_weight_bound", "conv_transpose2d"])
 def test_conv2d_backward_transient_covers_one_sample(op):
     run, inputs, _, bound = _conv_transient_case(op)
     with Graph():
@@ -711,7 +729,8 @@ def test_grad_elementwise_arithmetic():
         gradcheck(lambda ts: projection(mul(ts[0], ts[1]), 1100 + case), [a, b])
         gradcheck(lambda ts: projection(div(ts[0], ts[1]), 1101 + case), [a, b])
         gradcheck(
-            lambda ts: projection(ts[0] * 2.0 + add_scalar(ts[1], -1.5), 1102 + case), [a, b]
+            lambda ts: projection(add(mul_scalar(ts[0], 2.0), add_scalar(ts[1], -1.5)), 1102 + case),
+            [a, b],
         )
 
 
