@@ -1,11 +1,15 @@
 """Composite building blocks of the segmentation network.
 
-Each block is a parameter dataclass plus an apply function. Parameter
-construction draws He-uniform kernels from the generator it is handed, so
-build order fixes every initial value. Blocks that contain batchnorm or
-dropout take a ``mode`` ("train" or "eval"); dropout additionally needs a
-generator in train mode. Apply functions are pure except that train-mode
-batchnorm replaces the running statistics held on its ``BatchNormParams``.
+Each block is a parameter dataclass (a dense block's is a plain list of
+its layers') plus an apply function. Parameter construction draws
+He-uniform kernels from the generator it is handed, so build order fixes
+every initial value. The parameter classes hold tensors and check no
+shapes: ``model.build_model`` builds them by the channel rules, and the
+ops refuse a hand-built tree that breaks one when they first read it.
+Blocks that contain batchnorm or dropout take a ``mode`` ("train" or
+"eval"); dropout additionally needs a generator in train mode. Apply
+functions are pure except that train-mode batchnorm replaces the running
+statistics held on its ``BatchNormParams``.
 """
 
 from __future__ import annotations
@@ -53,10 +57,6 @@ class ConvParams:
         return cls(w, Tensor(np.zeros(out_ch), requires_grad=True))
 
     @property
-    def in_channels(self) -> int:
-        return self.w.data.shape[1]
-
-    @property
     def out_channels(self) -> int:
         return self.w.data.shape[0]
 
@@ -80,10 +80,6 @@ class BatchNormParams:
             Tensor(np.ones(channels)),
         )
 
-    @property
-    def channels(self) -> int:
-        return self.gamma.data.shape[0]
-
 
 @dataclass
 class DenseLayerParams:
@@ -95,13 +91,6 @@ class DenseLayerParams:
     bn: BatchNormParams
     conv: ConvParams
     dropout_p: float
-
-    def __post_init__(self):
-        if self.bn.channels != self.conv.in_channels:
-            raise ShapeError(
-                f"dense layer: batchnorm on {self.bn.channels} channels but conv "
-                f"expects {self.conv.in_channels}"
-            )
 
     @classmethod
     def create(cls, rng, in_ch: int, growth: int, dropout_p: float) -> "DenseLayerParams":
@@ -115,32 +104,13 @@ def dense_layer(x: Tensor, p: DenseLayerParams, mode: str, rng=None) -> Tensor:
     return dropout2d(h, p.dropout_p, mode, rng)
 
 
-class DenseBlockParams(list):
-    """A dense block's layers (DenseLayerParams), which must form a ladder:
-    layer i reads the block input plus i earlier outputs of one growth rate."""
-
-    def __init__(self, layers):
-        super().__init__(layers)
-        if not self:
-            raise ShapeError("dense block needs at least one layer")
-        base = self[0].conv.in_channels
-        growth = self[0].conv.out_channels
-        for i, lay in enumerate(self):
-            want_in = base + i * growth
-            if lay.conv.in_channels != want_in or lay.conv.out_channels != growth:
-                raise ShapeError(
-                    f"dense block ladder broken at layer {i}: expected "
-                    f"{want_in}->{growth}, got {lay.conv.in_channels}->{lay.conv.out_channels}"
-                )
-
-    @classmethod
-    def create(cls, rng, in_ch: int, n_layers: int, growth: int, dropout_p: float) -> "DenseBlockParams":
-        return cls(
-            [DenseLayerParams.create(rng, in_ch + i * growth, growth, dropout_p) for i in range(n_layers)]
-        )
+def dense_block_params(rng, in_ch: int, n_layers: int, growth: int, dropout_p: float) -> list:
+    """A dense block's layers: layer i reads the block input plus i earlier
+    outputs of one growth rate."""
+    return [DenseLayerParams.create(rng, in_ch + i * growth, growth, dropout_p) for i in range(n_layers)]
 
 
-def dense_block(x: Tensor, p: DenseBlockParams, mode: str, rng=None) -> Tensor:
+def dense_block(x: Tensor, p: list, mode: str, rng=None) -> Tensor:
     """Each layer reads the concat of the input and all previous outputs.
 
     Every feed is a channel-prefix view of one buffer per call, holding the

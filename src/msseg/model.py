@@ -38,11 +38,11 @@ from .blocks import (
     BatchNormParams,
     ConvLSTMParams,
     ConvParams,
-    DenseBlockParams,
     DenseLayerParams,
     SABlockParams,
     TransitionUpParams,
     dense_block,
+    dense_block_params,
     sa_block,
     transition_down,
     transition_up,
@@ -93,7 +93,7 @@ class ModelConfig:
 
 @dataclass
 class EncoderScaleParams:
-    dense: DenseBlockParams
+    dense: list  # of DenseLayerParams
     sa: Optional[SABlockParams]
     down: DenseLayerParams
 
@@ -101,13 +101,13 @@ class EncoderScaleParams:
 @dataclass
 class DecoderScaleParams:
     up: TransitionUpParams
-    dense: DenseBlockParams
+    dense: list  # of DenseLayerParams
     sa: Optional[SABlockParams]
 
 
 @dataclass
 class BottleneckParams:
-    dense: DenseBlockParams
+    dense: list  # of DenseLayerParams
     lstm: Optional[ConvLSTMParams]
 
 
@@ -137,7 +137,7 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     downsampling = []
     skip_channels = []
     for _ in range(cfg.num_scales):
-        dense = DenseBlockParams.create(rng, c, nl, g, cfg.dropout_p)
+        dense = dense_block_params(rng, c, nl, g, cfg.dropout_p)
         skip = c + block_out
         sa = SABlockParams.create(rng, skip) if cfg.use_sa else None
         down = DenseLayerParams(
@@ -148,7 +148,7 @@ def build_model(cfg: ModelConfig) -> ModelParams:
         c = skip
 
     bottleneck = BottleneckParams(
-        DenseBlockParams.create(rng, c, nl, g, cfg.dropout_p),
+        dense_block_params(rng, c, nl, g, cfg.dropout_p),
         ConvLSTMParams.create(rng, block_out, cfg.convlstm_hidden) if cfg.use_clstm else None,
     )
 
@@ -157,7 +157,7 @@ def build_model(cfg: ModelConfig) -> ModelParams:
     for j in range(cfg.num_scales):
         up = TransitionUpParams.create(rng, stream)
         concat_ch = stream + skip_channels[cfg.num_scales - 1 - j]
-        dense = DenseBlockParams.create(rng, concat_ch, nl, g, cfg.dropout_p)
+        dense = dense_block_params(rng, concat_ch, nl, g, cfg.dropout_p)
         sa = SABlockParams.create(rng, block_out) if cfg.use_sa else None
         upsampling.append(DecoderScaleParams(up, dense, sa))
         stream = block_out
@@ -391,8 +391,6 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
     The batch axis is time-major: the first B samples are the previous
     slices, the middle B the centers, the last B the next slices.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"forward mode must be 'train' or 'eval', got {mode!r}")
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise ShapeError(f"forward expects (3B, 1, H, W) input, got {x.shape}")
     b3 = x.data.shape[0]

@@ -582,15 +582,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if weight_bound:
             # the batch as one sample of (N, H, W) pixels, so each gradient
             # is one GEMM: gw = G @ P.T for the batch's patch matrix P, and
-            # gx adds each tap's window of w.T @ G back (col2im)
+            # each tap's window of w.T @ G is added back (col2im) into a
+            # contiguous (C, N, H, W) array, whose adds numpy runs unbuffered,
+            # and gx is one copy of it in (N, C, H, W) order
             g = np.ascontiguousarray(go.transpose(1, 0, 2, 3))[None]
             gx = gw = None
             if need_w:
                 by_channel = xd.transpose(1, 0, 2, 3)[None]
                 gw = _tap_gemms(windows, by_channel, (n, h, wd), other=g)[1].reshape(wdata.shape)
             if need_x:
-                gx = np.zeros((n, c, h, wd))
-                _tap_scatter(windows, wdata.reshape(f, -1), g, gx.transpose(1, 0, 2, 3)[None])
+                cols = np.zeros((1, c, n, h, wd))
+                _tap_scatter(windows, wdata.reshape(f, -1), g, cols)
+                gx = np.ascontiguousarray(cols[0].transpose(1, 0, 2, 3))
             return gx, gw, gb
         # kernel rotated 180 degrees, channel axes swapped, columns (f, i, j)
         wt = wdata[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1) if need_x else None

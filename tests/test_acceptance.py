@@ -21,7 +21,6 @@ from msseg.blocks import (
     ConvBlockParams,
     ConvLSTMParams,
     ConvParams,
-    DenseBlockParams,
     DenseLayerParams,
     SABlockParams,
     TransitionUpParams,
@@ -29,6 +28,7 @@ from msseg.blocks import (
     convlstm_forward,
     convlstm_step,
     dense_block,
+    dense_block_params,
     dense_layer,
     sa_block,
     transition_down,
@@ -283,7 +283,7 @@ def _block_instances(rng, i):
         )
     )
 
-    db = DenseBlockParams.create(rng, 2, 2, 2, 0.0)
+    db = dense_block_params(rng, 2, 2, 2, 0.0)
     db_t = [t for lay in db for t in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
     cases.append(("dense_block", lambda: projected(dense_block(x, db, "train"), i), [x] + db_t))
 

@@ -352,10 +352,13 @@ def _conv_transient_case(op, n=4):
         # the backward reads the batch as one sample: the batch's tap buffer,
         # gathered for the weight gradient, and the input gradient's col2im
         # product of the same size exist one at a time, beside one copy of
-        # the output gradient read as (F, N*H*W); one more tap buffer covers
-        # numpy's buffered per-tap adds. Keeping the gathered buffer while
-        # the col2im product exists would exceed it.
-        bwd = 2 * n * taps + n * 64 * 2 * 2 * 8
+        # the output gradient read as (F, N*H*W) and the contiguous
+        # (C, N, H, W) array the col2im adds into, the size of gx; a quarter
+        # tap buffer more covers the tap table and the small products.
+        # Keeping the gathered buffer while the col2im product exists, or
+        # adding each tap into a transposed view of gx, which numpy buffers,
+        # would exceed it.
+        bwd = n * taps + n * 64 * 2 * 2 * 8 + x.data.nbytes + n * taps // 4
     else:
         x = Tensor(rng.standard_normal((n, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)

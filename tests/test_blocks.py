@@ -13,7 +13,6 @@ from msseg.blocks import (
     ConvBlockParams,
     ConvLSTMParams,
     ConvParams,
-    DenseBlockParams,
     DenseLayerParams,
     SABlockParams,
     TransitionUpParams,
@@ -21,6 +20,7 @@ from msseg.blocks import (
     convlstm_forward,
     convlstm_step,
     dense_block,
+    dense_block_params,
     dense_layer,
     sa_block,
     transition_down,
@@ -52,8 +52,7 @@ def bn_params(gamma: Tensor, beta: Tensor) -> BatchNormParams:
 
 def zero_conv(p: ConvParams):
     p.w.data[:] = 0.0
-    if p.b is not None:
-        p.b.data[:] = 0.0
+    p.b.data[:] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -80,16 +79,15 @@ def test_dense_layer_preserves_spatial_dims():
 
 def test_dense_layer_channel_mismatch_rejected():
     rng = rngmod.stream(52, "dl3")
-    with pytest.raises(ShapeError):
-        DenseLayerParams(
-            BatchNormParams.create(3), ConvParams.create(rng, 4, 2, 3), 0.0
-        )
+    p = DenseLayerParams(BatchNormParams.create(3), ConvParams.create(rng, 4, 2, 3), 0.0)
+    with pytest.raises(ShapeError, match="conv2d channel mismatch"):
+        dense_layer(t(rng.standard_normal((1, 3, 4, 4))), p, "eval")
 
 
 def test_dense_block_channel_accounting():
     rng = rngmod.stream(53, "db")
     for g in (1, 3, 4):
-        p = DenseBlockParams.create(rng, 6, 5, g, 0.0)
+        p = dense_block_params(rng, 6, 5, g, 0.0)
         x = t(rng.standard_normal((1, 6, 4, 4)))
         out = dense_block(x, p, "eval")
         assert out.data.shape == (1, 5 * g, 4, 4)
@@ -97,7 +95,7 @@ def test_dense_block_channel_accounting():
 
 def test_dense_block_zero_convs_ignore_input():
     rng = rngmod.stream(54, "db0")
-    p = DenseBlockParams.create(rng, 2, 3, 2, 0.0)
+    p = dense_block_params(rng, 2, 3, 2, 0.0)
     for lay in p:
         zero_conv(lay.conv)
     a = dense_block(t(rng.standard_normal((1, 2, 4, 4))), p, "eval").data
@@ -110,7 +108,7 @@ def test_dense_block_zero_convs_ignore_input():
 
 def test_dense_block_matches_hand_unrolled_two_layers():
     rng = rngmod.stream(55, "db-unroll")
-    p = DenseBlockParams.create(rng, 3, 2, 4, 0.0)
+    p = dense_block_params(rng, 3, 2, 4, 0.0)
     x = t(rng.standard_normal((2, 3, 5, 5)))
 
     got = dense_block(x, p, "eval").data
@@ -136,7 +134,7 @@ def _fresh_concat_ladder(x, p, mode, rng=None):
 def _train_dense_step(block_fn):
     """One train-mode block forward and backward at N = 3 with 3 layers and
     dropout; returns the output, the running statistics and every gradient."""
-    p = DenseBlockParams.create(rngmod.stream(58, "db-ladder"), 5, 3, 4, 0.2)
+    p = dense_block_params(rngmod.stream(58, "db-ladder"), 5, 3, 4, 0.2)
     x = rngmod.stream(58, "db-ladder-x").standard_normal((3, 5, 6, 7))
     x = Tensor(x, requires_grad=True)
     with Graph():
@@ -164,7 +162,7 @@ def test_dense_block_feeds_share_one_buffer(monkeypatch):
 
     monkeypatch.setattr(blocks, "batchnorm2d", spy)
     rng = rngmod.stream(59, "db-share")
-    p = DenseBlockParams.create(rng, 3, 4, 2, 0.0)
+    p = dense_block_params(rng, 3, 4, 2, 0.0)
     x = t(rng.standard_normal((2, 3, 4, 4)))
     dense_block(x, p, "eval")
     assert seen[0] is x.data
@@ -185,7 +183,7 @@ def test_train_dense_block_tape_keeps_one_feed():
     feeds = (c0 + layers * g) * plane
     bound = relu_outputs + 1.5 * feeds
     for block_fn, fits in ((dense_block, True), (_fresh_concat_ladder, False)):
-        p = DenseBlockParams.create(rngmod.stream(60, "db-tape"), c0, layers, g, 0.0)
+        p = dense_block_params(rngmod.stream(60, "db-tape"), c0, layers, g, 0.0)
         x = rngmod.stream(60, "db-tape-x").standard_normal((n, c0, hw, hw))
         x = Tensor(x, requires_grad=True)
         tracemalloc.start()
@@ -201,17 +199,21 @@ def test_train_dense_block_tape_keeps_one_feed():
         assert (kept < bound) == fits, (block_fn.__name__, kept / plane, bound / plane)
 
 
-def test_dense_block_bad_ladder_rejected_at_construction():
+@pytest.mark.parametrize(
+    "in_ch, growth, match",
+    [(7, 2, "batchnorm2d"), (6, 3, "concat_channels")],  # layer 1 should be 6 -> 2
+)
+def test_dense_block_bad_ladder_rejected_at_first_forward(in_ch, growth, match):
     rng = rngmod.stream(56, "db-bad")
     good = DenseLayerParams.create(rng, 4, 2, 0.0)
-    bad = DenseLayerParams.create(rng, 7, 2, 0.0)  # should be 6
-    with pytest.raises(ShapeError, match="ladder"):
-        DenseBlockParams([good, bad])
+    bad = DenseLayerParams.create(rng, in_ch, growth, 0.0)
+    with pytest.raises(ShapeError, match=match):
+        dense_block(t(rng.standard_normal((1, 4, 4, 4))), [good, bad], "eval")
 
 
 def test_dense_block_gradcheck():
     rng = rngmod.stream(57, "db-grad")
-    p = DenseBlockParams.create(rng, 2, 2, 2, 0.0)
+    p = dense_block_params(rng, 2, 2, 2, 0.0)
     x = rng.standard_normal((2, 2, 4, 4))
     arrays = [x]
     slots = []
@@ -221,16 +223,14 @@ def test_dense_block_gradcheck():
             slots.append(tens)
 
     def make(ts):
-        lp = DenseBlockParams(
-            [
-                DenseLayerParams(
-                    bn_params(ts[1 + 4 * i], ts[2 + 4 * i]),
-                    ConvParams(ts[3 + 4 * i], ts[4 + 4 * i]),
-                    0.0,
-                )
-                for i in range(2)
-            ]
-        )
+        lp = [
+            DenseLayerParams(
+                bn_params(ts[1 + 4 * i], ts[2 + 4 * i]),
+                ConvParams(ts[3 + 4 * i], ts[4 + 4 * i]),
+                0.0,
+            )
+            for i in range(2)
+        ]
         return projection(dense_block(ts[0], lp, "train"), 5757)
 
     gradcheck(make, arrays)
