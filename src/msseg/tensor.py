@@ -539,8 +539,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     its adjoint, multiplies and adds each tap back into its window.
 
     - Forward, weight-bound (H*W < F, a sample's patch matrix is smaller
-      than the weight) or 1x1: ``_tap_gemms`` on x, with the weight read as
-      (F, C*k*k) where it lies; a 1x1 kernel's patch matrix is the sample.
+      than the weight), 1x1, or fewer input channels than filters (C < F,
+      the (C*k*k, H*W) patch matrix is smaller than kn2row's (k*k*F, H*W)
+      product, as in the one-channel stem): ``_tap_gemms`` on x, with the
+      weight read as (F, C*k*k) where it lies; a 1x1 kernel's patch matrix
+      is the sample.
     - Forward, otherwise: kn2row (``_shifted_correlate``). One GEMM per
       sample multiplies the weight, copied tap-major as (k*k*F, C), with the
       sample read as (C, H*W); the output is the sum of the product's k*k
@@ -565,7 +568,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"conv2d bias must have shape ({f},), got {b.shape}")
     xd, wdata = x.data, w.data
     weight_bound = h * wd < f
-    if weight_bound or k == 1:
+    if weight_bound or k == 1 or c < f:
         out = _tap_gemms(_tap_windows(k, h, wd), xd, (h, wd), wmat=wdata.reshape(f, -1))[0]
         out = out.reshape(n, f, h, wd)
     else:

@@ -47,10 +47,13 @@ ProgressSink = Callable[[int, float, float], None]
 
 Dataset = Mapping[str, tuple[Volume, MaskVolume]]
 
-# Center slices per decode in volume inference, which also encodes up to
-# this many new slices at a time. Eval mode is batch-invariant, so this sets
-# only peak memory and time, not the mask.
-PREDICT_BATCH = 4
+# Volume inference decodes max(1, PREDICT_PIXELS // (H*W)) center slices at a
+# time and encodes the new slices they need in the same chunks: one center at
+# the paper's 160x160 crop, whose ops write arrays too large to gain from a
+# batch, 4 at 64x64 and 16 at 32x32, where per-op overhead dominates. Eval
+# mode is batch-invariant, so this sets only peak memory and time, not the
+# mask.
+PREDICT_PIXELS = 128 * 128
 
 
 def worker_count() -> int:
@@ -144,16 +147,19 @@ def _encoded_features(params: ModelParams, voxels: np.ndarray) -> list[np.ndarra
 def predict_with_params(params: ModelParams, v: Volume) -> MaskVolume:
     """Slice-triplet inference over a whole volume, argmax with ties to 0.
 
-    Each slice is encoded once, in slice order. The triplets of
-    PREDICT_BATCH centers at a time are decoded from a window that holds
-    the features of at most PREDICT_BATCH + 2 slices: those centers and
-    their outer neighbours, edges replicated as in ``_triplet_indices``.
+    Each slice is encoded once, in slice order. The triplets of ``chunk``
+    centers at a time, ``chunk`` = max(1, PREDICT_PIXELS // (H*W)), are
+    decoded from a window that holds the features of at most ``chunk`` + 2
+    slices: those centers and their outer neighbours, edges replicated as
+    in ``_triplet_indices``.
     """
-    triplets = _triplet_indices(v.dims[0])
+    depth, h, w = v.dims
+    chunk = max(1, PREDICT_PIXELS // (h * w))
+    triplets = _triplet_indices(depth)
     out = np.empty(v.dims, dtype=np.uint8)
     lo, hi, window = 0, 0, []  # window[k][i] is feature k of slice lo + i
-    for start in range(0, len(triplets), PREDICT_BATCH):
-        rows = triplets[start : start + PREDICT_BATCH]
+    for start in range(0, len(triplets), chunk):
+        rows = triplets[start : start + chunk]
         first, stop = rows[0, 0], rows[-1, 2] + 1
         if stop > hi:
             fresh = _encoded_features(params, v.voxels[hi:stop])

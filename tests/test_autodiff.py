@@ -322,10 +322,12 @@ def test_conv_transpose2d_grads_match_loop_oracle(n, k):
 def _conv_transient_case(op, n=4):
     """A dense-layer-like conv2d, an (n, 48, 32, 32) input with 12 3x3
     filters; a weight-bound conv2d like the ConvLSTM gates', an (n, 48, 2, 2)
-    input with 64 3x3 filters; or a transition-up-like conv_transpose2d, an
-    (n, 48, 16, 16) input with 48 3x3 filters. Returns the op call, its
-    inputs and the bounds, in bytes, on its forward and its backward
-    temporaries beyond its own output and gradient arrays."""
+    input with 64 3x3 filters; a stem-like conv2d with fewer input channels
+    than filters, an (n, 1, 32, 32) input with 19 3x3 filters; or a
+    transition-up-like conv_transpose2d, an (n, 48, 16, 16) input with 48
+    3x3 filters. Returns the op call, its inputs and the bounds, in bytes,
+    on its forward and its backward temporaries beyond its own output and
+    gradient arrays."""
     rng = rngmod.stream(37, "conv-transient")
     if op == "conv2d":
         x = Tensor(rng.standard_normal((n, 48, 32, 32)), requires_grad=True)
@@ -359,6 +361,18 @@ def _conv_transient_case(op, n=4):
         # adding each tap into a transposed view of gx, which numpy buffers,
         # would exceed it.
         bwd = n * taps + n * 64 * 2 * 2 * 8 + x.data.nbytes + n * taps // 4
+    elif op == "conv2d_few_channels":
+        x = Tensor(rng.standard_normal((n, 1, 32, 32)), requires_grad=True)
+        w = Tensor(rng.standard_normal((19, 1, 3, 3)), requires_grad=True)
+        inputs, call = (x, w, Tensor(np.zeros(19), requires_grad=True)), conv2d
+        # the forward gathers one sample's (C*k*k, H*W) tap buffer, 9x its
+        # input; half of one more covers the tap table and the views.
+        # kn2row's (9F, H*W + gap) product would be 19x that buffer.
+        taps = 9 * 32 * 32 * 8
+        fwd = taps + taps // 2
+        # as for the dense-layer-like case: one buffer of the 19-channel
+        # output gradient's 9 taps, and half a tap buffer more
+        bwd = 9 * 19 * 32 * 32 * 8 + taps // 2
     else:
         x = Tensor(rng.standard_normal((n, 48, 16, 16)), requires_grad=True)
         w = Tensor(rng.standard_normal((48, 48, 3, 3)), requires_grad=True)
@@ -368,7 +382,10 @@ def _conv_transient_case(op, n=4):
     return lambda: call(*inputs), inputs, fwd, bwd
 
 
-@pytest.mark.parametrize("op", ["conv2d", "conv2d_weight_bound", "conv_transpose2d"])
+CONV_TRANSIENT_CASES = ["conv2d", "conv2d_weight_bound", "conv2d_few_channels", "conv_transpose2d"]
+
+
+@pytest.mark.parametrize("op", CONV_TRANSIENT_CASES)
 def test_conv2d_forward_transient_covers_one_sample(op):
     transient = {}
     for n in (1, 4):
@@ -387,7 +404,7 @@ def test_conv2d_forward_transient_covers_one_sample(op):
     assert abs(transient[4] - transient[1]) < 0.01 * bound
 
 
-@pytest.mark.parametrize("op", ["conv2d", "conv2d_weight_bound", "conv_transpose2d"])
+@pytest.mark.parametrize("op", CONV_TRANSIENT_CASES)
 def test_conv2d_backward_transient_covers_one_sample(op):
     run, inputs, _, bound = _conv_transient_case(op)
     with Graph():

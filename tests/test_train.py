@@ -37,7 +37,6 @@ from msseg.model import (
 )
 from msseg.tensor import Graph, Tensor, backward, softmax_channels
 from msseg.train import (
-    PREDICT_BATCH,
     _slice_samples,
     _training_batch,
     evaluate,
@@ -344,15 +343,24 @@ def test_predict_resolves_exact_ties_to_background():
     assert pred.labels.sum() == 0
 
 
+# Centers per decode that the chunk tests below set through PREDICT_PIXELS,
+# so that their depths cover several chunks at any slice area.
+CHUNK = 4
+
+
+def chunk_centers(monkeypatch, h, w):
+    """Make volume inference on H x W slices decode CHUNK centers at a time."""
+    monkeypatch.setattr(train_module, "PREDICT_PIXELS", CHUNK * h * w)
+
+
 @pytest.mark.parametrize("variant", range(4), ids=["plain", "clstm", "sa", "sa_clstm"])
-@pytest.mark.parametrize(
-    "depth", [1, 2, PREDICT_BATCH, PREDICT_BATCH + 1, 2 * PREDICT_BATCH + 1]
-)
-def test_predict_batches_match_per_triplet_forward(depth, variant):
-    # The depths cover one slice, one partial and one full chunk of
-    # PREDICT_BATCH centers, a trailing one-center chunk whose triplet needs
-    # no new encoding, and a third chunk. The variants without the ConvLSTM
-    # decode from the center step alone.
+@pytest.mark.parametrize("depth", [1, 2, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_predict_batches_match_per_triplet_forward(depth, variant, monkeypatch):
+    # The depths cover one slice, one partial and one full chunk of CHUNK
+    # centers, a trailing one-center chunk whose triplet needs no new
+    # encoding, and a third chunk. The variants without the ConvLSTM decode
+    # from the center step alone.
+    chunk_centers(monkeypatch, 16, 16)
     params = build_model(ablation_variants(MINI)[variant])
     vol = Volume(rngmod.stream(64, "batch").random((depth, 16, 16), dtype=np.float32))
     msk = MaskVolume(np.zeros(vol.dims, dtype=np.uint8))
@@ -370,7 +378,8 @@ def test_predict_batches_match_per_triplet_forward(depth, variant):
 
 
 def test_predict_encodes_each_slice_once_within_a_bounded_window(monkeypatch):
-    depth = 3 * PREDICT_BATCH + 2
+    chunk_centers(monkeypatch, 32, 32)
+    depth = 3 * CHUNK + 2
     params = build_model(MINI)
     vox = rngmod.stream(65, "once").random((depth, 32, 32), dtype=np.float32)
     skips, db = encode(params, Tensor(vox[:1, None].astype(np.float64)), "eval")
@@ -393,16 +402,17 @@ def test_predict_encodes_each_slice_once_within_a_bounded_window(monkeypatch):
         tracemalloc.stop()
     assert encoded == list(range(depth))
     # Before each encoding, the window of earlier features that is still
-    # alive spans at most PREDICT_BATCH + 2 slices; the slack covers the
-    # new slices' float64 input and the output mask.
+    # alive spans at most CHUNK + 2 slices; the slack covers the new
+    # slices' float64 input and the output mask.
     assert len(held) == 4
-    assert max(held) < (PREDICT_BATCH + 3) * slice_bytes
+    assert max(held) < (CHUNK + 3) * slice_bytes
 
 
 def test_predict_decodes_center_skips_from_the_encoded_window(monkeypatch):
     # two chunks; the first decodes from the first encoding's features as
     # they are, and no chunk copies its centers' skips out of the window
-    depth = PREDICT_BATCH + 3
+    chunk_centers(monkeypatch, 16, 16)
+    depth = CHUNK + 3
     params = build_model(MINI)
     vox = rngmod.stream(66, "views").random((depth, 16, 16), dtype=np.float32)
     encoded, decoded = [], []
@@ -424,6 +434,23 @@ def test_predict_decodes_center_skips_from_the_encoded_window(monkeypatch):
         assert np.shares_memory(skip, feature)
     for skips in decoded:
         assert not any(skip.flags.owndata for skip in skips)
+
+
+@pytest.mark.parametrize("depth, side, sizes", [(3, 160, [1, 1, 1]), (12, 32, [12])])
+def test_predict_chunk_follows_slice_area(depth, side, sizes, monkeypatch):
+    # the paper's 160x160 crop decodes one center at a time, and a small
+    # volume of 32x32 slices decodes in one call
+    params = build_model(MINI)
+    vox = rngmod.stream(67, "area").random((depth, side, side), dtype=np.float32)
+    decoded = []
+
+    def decoding(params, center_skips, steps, mode, rng=None):
+        decoded.append(center_skips[0].data.shape[0])
+        return decode(params, center_skips, steps, mode, rng)
+
+    monkeypatch.setattr(train_module, "decode", decoding)
+    predict_with_params(params, Volume(vox))
+    assert decoded == sizes
 
 
 def test_predict_rejects_bad_geometry():
