@@ -374,7 +374,7 @@ class PhantomSpec:
             raise ValueError(f"bad lesion count range {self.n_lesions}")
         largest = _largest_lesion(self.dims)
         if rlo > largest:
-            raise ValueError(f"dims {self.dims} cannot fit a lesion of diameter {2 * rhi:g}; "
+            raise ValueError(f"dims {self.dims} cannot fit a lesion of radius {rlo:g}; "
                              f"the largest radius that fits is {max(largest, 0.0):.3g}")
 
 

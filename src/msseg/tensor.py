@@ -23,16 +23,49 @@ taped block keeps one feed array. No op writes into the memory of its inputs.
 
 Everything computes in float64. Gradients accumulate additively across
 fan-out; a parameter used twice sees the sum of both contributions.
+
+Importing this module sets one glibc allocator policy for the whole process,
+where libc has ``mallopt``: blocks up to ``MMAP_THRESHOLD`` (48 MiB) come
+from the heap rather than from their own mapping, and the heap returns free
+memory to the system only once ``TRIM_THRESHOLD`` (1 GiB) lies free at its
+top. A freed activation then backs the next one instead of being unmapped
+and faulted back a page at a time; at the paper's 160x160 crop that cuts a
+batch-1 train step's minor faults about a hundredfold, with the same results
+bit for bit. The cap is 48 MiB because the widest activation of one 160x160
+slice, a 199-channel dense-block feed, is 40.8 MB, and volume inference at
+that crop decodes one center at a time and, after its first two slices,
+encodes one slice at a time: a smaller cap maps that feed afresh on every
+use. A larger cap lets the heap of a batch-4 train step,
+which runs to gigabytes, fragment past the memory the step otherwise needs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
+
+MMAP_THRESHOLD = 48 << 20
+TRIM_THRESHOLD = 1 << 30
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's malloc.h parameter numbers
+
+
+def _keep_freed_memory() -> None:
+    """Apply the module docstring's allocator policy; a no-op without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no process handle to look in
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+_keep_freed_memory()
 
 _ACTIVE = threading.local()
 

@@ -497,9 +497,9 @@ def test_phantom_zero_lesions():
 
 
 def test_phantom_spec_validation():
-    with pytest.raises(ValueError, match="diameter"):
+    with pytest.raises(ValueError, match="cannot fit a lesion of radius 3.5;"):
         generate_phantom(PhantomSpec(seed=1, dims=(6, 64, 64), lesion_radius=(3.5, 3.5)))
-    with pytest.raises(ValueError, match=r"diameter 8; the largest radius that fits is 0\.937"):
+    with pytest.raises(ValueError, match=r"radius 4; the largest radius that fits is 0\.937"):
         PhantomSpec(seed=1, dims=(10, 12, 12), n_lesions=(1, 1), lesion_radius=(4.0, 4.0))
 
 
@@ -558,7 +558,7 @@ def test_phantom_bytes_are_pinned():
         ("lesion_radius", (2.0, 1.0), "bad lesion radius range"),
         ("n_lesions", (-1, 2), "bad lesion count range"),
         ("n_lesions", (3, 2), "bad lesion count range"),
-        ("dims", (6, 64, 64), "cannot fit a lesion of diameter 8"),
+        ("dims", (6, 64, 64), "cannot fit a lesion of radius 2;"),
     ],
 )
 def test_phantom_spec_refuses_a_bad_range_when_made(field, value, says):

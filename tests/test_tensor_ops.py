@@ -1,5 +1,13 @@
 """Forward semantics of the tensor core against independent oracles."""
 
+import json
+import mmap
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -582,3 +590,44 @@ def test_graph_context_records_only_inside():
     with Graph() as g:
         inside = sum_all(x)
     assert inside.graph is g and len(g) == 1
+
+
+# ---------------------------------------------------------------------------
+# allocator policy
+
+
+REFILL_FAULTS = """\
+import json, resource
+import numpy as np
+import msseg
+from numpy._core.multiarray import _set_madvise_hugepage
+
+_set_madvise_hugepage(False)  # count base-page faults, not huge pages
+
+def fill_faults(mib):
+    a = np.empty(mib << 20, np.uint8)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    a.fill(1)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    del a
+    return faults
+
+print(json.dumps({mib: [fill_faults(mib), fill_faults(mib)] for mib in (40, 100)}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_import_keeps_freed_arrays_under_the_cap_in_the_process():
+    """A freed 40 MiB array backs the next one with no new page faults; a
+    100 MiB one, past the 48 MiB cap, is unmapped and faulted back."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", REFILL_FAULTS], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    faults = json.loads(run.stdout)
+    first, second = faults["40"]
+    assert first >= 0.9 * (40 << 20) / mmap.PAGESIZE
+    assert second < 0.01 * first
+    first, second = faults["100"]
+    assert first >= 0.9 * (100 << 20) / mmap.PAGESIZE
+    assert second >= 0.9 * first
