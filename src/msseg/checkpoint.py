@@ -18,6 +18,7 @@ refusal is a ``ConfigError`` naming the file.  Damaged bytes raise
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -117,12 +118,17 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read ``path`` into one buffer; each returned array is a view of its
+    record's payload there, so the load holds no second copy of it."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        got = fh.readinto(raw)
+    if got < len(raw):
+        raise FileFormatError(f"{path}: read {got} of {len(raw)} bytes", code="truncated")
     if len(raw) < len(MAGIC) + 1 + 2 * _U32.size:
         raise FileFormatError(f"{path}: file shorter than the header", code="truncated")
     if raw[: len(MAGIC)] != MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:len(MAGIC)]!r}", code="bad-magic")
+        raise FileFormatError(f"{path}: bad magic {bytes(raw[:len(MAGIC)])!r}", code="bad-magic")
     version = raw[len(MAGIC)]
     if version != VERSION:
         raise FileFormatError(
@@ -159,7 +165,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         (rank,) = take(1, f"record {name!r} rank")
         dims = struct.unpack(f"<{rank}I", take(rank * _U32.size, f"record {name!r} dims"))
         payload = take(8 * math.prod(dims), f"record {name!r} payload")
-        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(dims)
 
     try:
         values = read_keys(doc, _DOC_KEYS, _DOC_RETIRED)

@@ -1,8 +1,8 @@
 """Shared test plumbing.
 
-The acceptance tests append one scoreboard line each to their module-level
-RESULTS list; printing happens here, after capture is released, so the lines
-show up no matter which capture mode the run uses.
+The acceptance tests score their checks in test_acceptance's RESULTS;
+printing its scoreboard happens here, after capture is released, so the
+lines show up no matter which capture mode the run uses.
 """
 
 import sys
@@ -10,10 +10,10 @@ import sys
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     mod = sys.modules.get("test_acceptance")
-    results = getattr(mod, "RESULTS", None) if mod else None
-    if not results:
+    lines = list(mod.scoreboard()) if mod else []
+    if not lines:
         return
     terminalreporter.ensure_newline()
     terminalreporter.section("acceptance criteria", sep="-")
-    for line in results:
+    for line in lines:
         terminalreporter.write_line(line)

@@ -1,13 +1,16 @@
 """Desk-scale acceptance gate.
 
-Eight checks, one pass/fail line each on the terminal summary (conftest
-prints the scoreboard once capture is released). They exercise gradient
+Eight criteria, one pass/fail line each on the terminal summary (conftest
+prints the scoreboard once capture is released). Criteria 1 and 2 are
+tables with one test per op or block row. They exercise gradient
 correctness, oracle equivalence, metric algebra, the calibrated parameter
 count, overfit capacity of the miniature model, the ablation grid, bit-exact
 determinism, and the preprocessing/fold pipeline end to end. Everything is
 seeded; a green run is reproducible bit for bit.
 """
 
+import dataclasses
+import inspect
 import statistics
 import time
 from contextlib import contextmanager
@@ -15,6 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from msseg import blocks, tensor
 from msseg import rng as rngmod
 from msseg.blocks import (
     BatchNormParams,
@@ -112,355 +116,345 @@ from msseg.train import (
 import oracles
 
 
-MINI = ModelConfig(
-    num_scales=2,
-    layers_per_dense_block=2,
-    growth_rate=4,
-    first_conv_filters=8,
-    convlstm_hidden=6,
-    dropout_p=0.0,
-    seed=7,
-)
+MINI = dataclasses.replace(oracles.MINI, seed=7)
 
 
-RESULTS: list[str] = []
+# criterion number -> (label, failed checks by row name, None for a whole
+# test, and the passing checks' details)
+RESULTS: dict[int, tuple[str, list, list[str]]] = {}
 
 
 @contextmanager
-def criterion(n, label):
+def criterion(n, label, check=None):
+    """Scores one check of criterion ``n``; a row test is one check."""
+    _, failed, details = RESULTS.setdefault(n, (label, [], []))
     note = {}
     try:
         yield note
     except BaseException:
-        RESULTS.append(f"[FAIL] criterion {n}: {label}")
+        failed.append(check)
         raise
-    RESULTS.append(f"[PASS] criterion {n}: {label}{note.get('detail', '')}")
+    details.append(note.get("detail", ""))
 
 
-# ---------------------------------------------------------------------------
-# shared in-place finite-difference machinery
-
-
-def check_gradients(make_scalar, tensors, h=1e-5, tol=1e-4):
-    """Tape gradients vs central differences, perturbing tensors in place.
-
-    ``make_scalar`` must be a pure function of the current tensor contents
-    (any randomness re-derived inside). Tensors must require grad.
-    """
-    with Graph():
-        loss = make_scalar()
-    backward(loss)
-    grads = []
-    for t in tensors:
-        assert t.grad is not None, "missing gradient"
-        grads.append(t.grad.copy())
-        t.grad = None
-    for t, g in zip(tensors, grads):
-        fd = np.zeros_like(t.data)
-        it = np.nditer(t.data, flags=["multi_index"])
-        while not it.finished:
-            ix = it.multi_index
-            keep = t.data[ix]
-            t.data[ix] = keep + h
-            fp = float(make_scalar().data)
-            t.data[ix] = keep - h
-            fm = float(make_scalar().data)
-            t.data[ix] = keep
-            fd[ix] = (fp - fm) / (2.0 * h)
-            it.iternext()
-        err = oracles.rel_err(g, fd)
-        assert err < tol, f"worst relative error {err}"
-
-
-def projected(out, seed):
-    r = rngmod.stream(seed, "acceptance-projection").standard_normal(out.data.shape)
-    return sum_all(mul(out, Tensor(r)))
-
-
-def leaf(rng, shape):
-    return Tensor(rng.standard_normal(shape), requires_grad=True)
+def scoreboard():
+    """One pass/fail line per criterion that ran."""
+    for n, (label, failed, details) in sorted(RESULTS.items()):
+        if failed:
+            rows = ", ".join(check for check in failed if check)
+            yield f"[FAIL] criterion {n}: {label}" + (f" (failed: {rows})" if rows else "")
+        else:
+            yield f"[PASS] criterion {n}: {label}{''.join(details)}"
 
 
 # ---------------------------------------------------------------------------
 # criterion 1: gradients
+#
+# One row per public op of msseg.tensor and per apply function of
+# msseg.blocks. A row's build(rng, i) draws instance i and returns the call
+# to check and its leaves; oracles.gradient_error checks the call on every
+# entry of every leaf, ROUNDS instances per row.
+
+GRADIENT = "finite-difference gradient suite"
+ROUNDS = 20
+# not differentiable functions of tensors: the sweep, the update and initializers
+NO_GRADIENT_ROW = {"backward", "sgd_step", "he_uniform", "dense_block_params"}
 
 
-def _op_instances(rng, i):
-    """One randomized gradcheck instance per call for every tensor op."""
-    n = int(rng.integers(1, 3))
-    c = int(rng.integers(1, 4))
-    h = int(rng.integers(3, 6))
-    w = int(rng.integers(3, 6))
-    x = leaf(rng, (n, c, h, w))
-    y = leaf(rng, (n, c, h, w))
-    cases = []
-
-    cases.append(("add", lambda: projected(add(x, y), i), [x, y]))
-    cases.append(("add_scalar", lambda: projected(add_scalar(x, 1.7), i), [x]))
-    cases.append(("mul", lambda: projected(mul(x, y), i), [x, y]))
-    cases.append(("mul_scalar", lambda: projected(mul_scalar(x, -0.6), i), [x]))
-    yd = leaf(rng, (n, c, h, w))
-    yd.data[np.abs(yd.data) < 0.3] = 0.7
-    cases.append(("div", lambda: projected(div(x, yd), i), [x, yd]))
-    cases.append(("sum_all", lambda: mul_scalar(sum_all(x), 0.5), [x]))
-    xs = leaf(rng, (n, c, h, w))
-    xs.data[np.abs(xs.data) < 0.2] = 0.5  # keep clear of the relu kink
-    cases.append(("relu", lambda: projected(relu(xs), i), [xs]))
-    cases.append(("sigmoid", lambda: projected(sigmoid(x), i), [x]))
-    cases.append(("tanh", lambda: projected(tanh(x), i), [x]))
-    xb = leaf(rng, (2, c, h, w))
-    cases.append(("slice_batch", lambda: projected(slice_batch(xb, 1, 2), i), [xb]))
-    cases.append(("slice_channels", lambda: projected(slice_channels(x, 0, c), i), [x]))
-    cases.append(
-        ("crop_spatial", lambda: projected(crop_spatial(x, h - 1, w - 1), i), [x])
-    )
-    z = leaf(rng, (n, 2, h, w))
-    cases.append(("concat_channels", lambda: projected(concat_channels([x, z]), i), [x, z]))
-    cases.append(("upsample_nearest", lambda: projected(upsample_nearest(x), i), [x]))
-    xm = leaf(rng, (n, c + 1, h, w))
-    cases.append(("softmax_channels", lambda: projected(softmax_channels(xm), i), [xm]))
-
-    f = int(rng.integers(1, 4))
-    k = 2 * int(rng.integers(0, 2)) + 1
-    cw = leaf(rng, (f, c, k, k))
-    cb = leaf(rng, (f,))
-    cases.append(("conv2d", lambda: projected(conv2d(x, cw, cb), i), [x, cw, cb]))
-    kt = int(rng.integers(1, 4))
-    tw = leaf(rng, (c, f, kt, kt))
-    cases.append(
-        ("conv_transpose2d", lambda: projected(conv_transpose2d(x, tw), i), [x, tw])
-    )
-
-    gamma = leaf(rng, (c,))
-    beta = leaf(rng, (c,))
-    rmean, rvar = Tensor(np.zeros(c)), Tensor(np.ones(c))
-    cases.append(
-        (
-            "batchnorm2d_train",
-            lambda: projected(batchnorm2d(x, gamma, beta, rmean, rvar, "train"), i),
-            [x, gamma, beta],
-        )
-    )
-    emean = Tensor(rng.standard_normal(c))
-    evar = Tensor(0.5 + rng.random(c))
-    cases.append(
-        (
-            "batchnorm2d_eval",
-            lambda: projected(batchnorm2d(x, gamma, beta, emean, evar, "eval"), i),
-            [x, gamma, beta],
-        )
-    )
-    cases.append(
-        (
-            "dropout2d",
-            lambda: projected(
-                dropout2d(x, 0.4, "train", rngmod.stream(i, "acc-drop")), i
-            ),
-            [x],
-        )
-    )
-    xp = leaf(rng, (n, c, 6, 6))
-    xp.data[:] = np.argsort(
-        rng.permutation(xp.data.size)
-    ).reshape(xp.data.shape) * 0.37  # distinct values keep the max unique
-    cases.append(("maxpool2d", lambda: projected(maxpool2d(xp), i), [xp]))
-    cases.append(("avgpool2d", lambda: projected(avgpool2d(xp), i), [xp]))
-    return cases
+def _leaves(rng, *shapes):
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
 
 
-def _block_instances(rng, i):
-    """One randomized gradcheck instance per call for every composite block."""
-    cases = []
-    x = leaf(rng, (2, 2, 4, 4))
+def _nchw(rng, n_min=1, c_min=1):
+    n, c = int(rng.integers(n_min, n_min + 2)), int(rng.integers(c_min, 4))
+    return n, c, int(rng.integers(3, 6)), int(rng.integers(3, 6))
 
-    dl = DenseLayerParams.create(rng, 2, 2, 0.3)
-    dl_t = [dl.bn.gamma, dl.bn.beta, dl.conv.w, dl.conv.b]
-    cases.append(
-        (
-            "dense_layer",
-            lambda: projected(dense_layer(x, dl, "train", rngmod.stream(i, "acc-dl")), i),
-            [x] + dl_t,
-        )
-    )
 
-    db = dense_block_params(rng, 2, 2, 2, 0.0)
-    db_t = [t for lay in db for t in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
-    cases.append(("dense_block", lambda: projected(dense_block(x, db, "train"), i), [x] + db_t))
+def _unary(call, n_min=1, c_min=1):
+    def build(rng, i):
+        (x,) = _leaves(rng, _nchw(rng, n_min, c_min))
+        return lambda: call(x), [x]
 
-    td = DenseLayerParams(BatchNormParams.create(2), ConvParams.create(rng, 2, 2, 1), 0.0)
-    td_t = [td.bn.gamma, td.bn.beta, td.conv.w, td.conv.b]
-    cases.append(
-        ("transition_down", lambda: projected(transition_down(x, td, "train"), i), [x] + td_t)
-    )
+    return build
 
-    tu = TransitionUpParams.create(rng, 2)
-    cases.append(("transition_up", lambda: projected(transition_up(x, tu), i), [x, tu.w]))
 
-    cb = ConvBlockParams.create(rng, 2, 2)
-    cb_t = [
-        cb.conv1.w, cb.conv1.b, cb.bn1.gamma, cb.bn1.beta,
-        cb.conv2.w, cb.conv2.b, cb.bn2.gamma, cb.bn2.beta,
-    ]
-    cases.append(("conv_block", lambda: projected(conv_block(x, cb, "train"), i), [x] + cb_t))
+def _binary(call):
+    def build(rng, i):
+        s = _nchw(rng)
+        x, y = _leaves(rng, s, s)
+        return lambda: call(x, y), [x, y]
 
-    sa = SABlockParams.create(rng, 2)
-    sa_t = []
-    for blk in (sa.attn1, sa.attn2):
-        sa_t.extend(
-            [
-                blk.conv1.w, blk.conv1.b, blk.bn1.gamma, blk.bn1.beta,
-                blk.conv2.w, blk.conv2.b, blk.bn2.gamma, blk.bn2.beta,
-            ]
-        )
-    cases.append(("sa_block", lambda: projected(sa_block(x, sa, "train"), i), [x] + sa_t))
+    return build
 
-    lp = ConvLSTMParams.create(rng, 2, 2)
-    lp_t = []
-    for gate in (lp.input, lp.forget, lp.cell, lp.output):
-        lp_t.extend([gate.w, gate.b])
-    h0 = leaf(rng, (2, 2, 4, 4))
-    c0 = leaf(rng, (2, 2, 4, 4))
 
-    def step_loss():
-        h1, c1 = convlstm_step(x, h0, c0, lp)
-        return add(projected(h1, i), projected(c1, i + 1))
+def _div(rng, i):
+    s = _nchw(rng)
+    x, y = _leaves(rng, s, s)
+    y.data[np.abs(y.data) < 0.3] = 0.7  # keep divisors away from zero
+    return lambda: div(x, y), [x, y]
 
-    cases.append(("convlstm_step", step_loss, [x, h0, c0] + lp_t))
 
-    seq = [x, leaf(rng, (2, 2, 4, 4)), leaf(rng, (2, 2, 4, 4))]
-    cases.append(
-        ("convlstm_forward", lambda: projected(convlstm_forward(seq, lp), i), seq + lp_t)
-    )
-    return cases
+def _relu(rng, i):
+    (x,) = _leaves(rng, _nchw(rng))
+    x.data[np.abs(x.data) < 0.2] = 0.5  # keep clear of the kink
+    return lambda: relu(x), [x]
+
+
+def _concat(rng, i):
+    n, c, h, w = _nchw(rng)
+    x, z = _leaves(rng, (n, c, h, w), (n, 2, h, w))
+    return lambda: concat_channels([x, z]), [x, z]
+
+
+def _conv2d(rng, i):
+    n, c, h, w = _nchw(rng)
+    f, k = int(rng.integers(1, 4)), (1, 3, 5)[i % 3]
+    if i % 4 == 0:  # weight-bound: fewer pixels than filters
+        h, w, f = 1, 2, 3
+    x, cw, cb = _leaves(rng, (n, c, h, w), (f, c, k, k), (f,))
+    return lambda: conv2d(x, cw, cb), [x, cw, cb]
+
+
+def _conv_transpose2d(rng, i):
+    n, c, h, w = _nchw(rng)
+    f, k = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    x, tw = _leaves(rng, (n, c, h, w), (c, f, k, k))
+    return lambda: conv_transpose2d(x, tw), [x, tw]
+
+
+def _batchnorm2d(mode):
+    def build(rng, i):
+        n, c, h, w = _nchw(rng)
+        x, gamma, beta = _leaves(rng, (n, c, h, w), (c,), (c,))
+        if mode == "train":
+            stats = Tensor(np.zeros(c)), Tensor(np.ones(c))
+        else:
+            stats = Tensor(rng.standard_normal(c)), Tensor(0.5 + rng.random(c))
+        return lambda: batchnorm2d(x, gamma, beta, *stats, mode), [x, gamma, beta]
+
+    return build
+
+
+def _dropout2d(rng, i):
+    (x,) = _leaves(rng, _nchw(rng))
+    # a fresh generator per call draws the same mask every time
+    return lambda: dropout2d(x, 0.4, "train", rngmod.stream(i, "acc-drop")), [x]
+
+
+def _pool(call):
+    def build(rng, i):
+        n, c, _, _ = _nchw(rng)
+        (x,) = _leaves(rng, (n, c, 6, 6))
+        # distinct entries give every window a unique max
+        x.data[:] = np.argsort(rng.permutation(x.data.size)).reshape(x.data.shape) * 0.37
+        return lambda: call(x), [x]
+
+    return build
+
+
+def _block(make_params, call):
+    """A block on a (2, 2, 4, 4) input; its leaves are the input and every
+    trainable tensor of its parameters. call(x, p, i) runs the block."""
+    def build(rng, i):
+        p = make_params(rng)
+        (x,) = _leaves(rng, (2, 2, 4, 4))
+        return lambda: call(x, p, i), [x] + [t for _, t in named_tensors(p)]
+
+    return build
+
+
+def _convlstm(call):
+    def build(rng, i):
+        p = ConvLSTMParams.create(rng, 2, 2)
+        xs = _leaves(rng, *[(2, 2, 4, 4)] * 3)
+        return lambda: call(xs, p), xs + [t for _, t in named_tensors(p)]
+
+    return build
+
+
+# row name -> (the function it checks, build)
+GRADIENT_ROWS = {
+    "add": (add, _binary(add)),
+    "mul": (mul, _binary(mul)),
+    "div": (div, _div),
+    "add_scalar": (add_scalar, _unary(lambda x: add_scalar(x, 1.7))),
+    "mul_scalar": (mul_scalar, _unary(lambda x: mul_scalar(x, -0.6))),
+    "sum_all": (sum_all, _unary(sum_all)),
+    "relu": (relu, _relu),
+    "sigmoid": (sigmoid, _unary(sigmoid)),
+    "tanh": (tanh, _unary(tanh)),
+    "softmax_channels": (softmax_channels, _unary(softmax_channels, c_min=2)),
+    "slice_batch": (slice_batch, _unary(lambda x: slice_batch(x, 1, x.shape[0]), n_min=2)),
+    "slice_channels": (
+        slice_channels, _unary(lambda x: slice_channels(x, 1, x.shape[1]), c_min=2)
+    ),
+    "crop_spatial": (crop_spatial, _unary(lambda x: crop_spatial(x, 2, 2))),
+    "concat_channels": (concat_channels, _concat),
+    "upsample_nearest": (upsample_nearest, _unary(upsample_nearest)),
+    "conv2d": (conv2d, _conv2d),
+    "conv_transpose2d": (conv_transpose2d, _conv_transpose2d),
+    "batchnorm2d_train": (batchnorm2d, _batchnorm2d("train")),
+    "batchnorm2d_eval": (batchnorm2d, _batchnorm2d("eval")),
+    "dropout2d": (dropout2d, _dropout2d),
+    "maxpool2d": (maxpool2d, _pool(maxpool2d)),
+    "avgpool2d": (avgpool2d, _pool(avgpool2d)),
+    "dense_layer": (dense_layer, _block(
+        lambda rng: DenseLayerParams.create(rng, 2, 2, 0.3),
+        lambda x, p, i: dense_layer(x, p, "train", rngmod.stream(i, "acc-dl")),
+    )),
+    "dense_block": (dense_block, _block(
+        lambda rng: dense_block_params(rng, 2, 2, 2, 0.0),
+        lambda x, p, i: dense_block(x, p, "train"),
+    )),
+    "transition_down": (transition_down, _block(
+        lambda rng: DenseLayerParams(
+            BatchNormParams.create(2), ConvParams.create(rng, 2, 2, 1), 0.0
+        ),
+        lambda x, p, i: transition_down(x, p, "train"),
+    )),
+    "transition_up": (transition_up, _block(
+        lambda rng: TransitionUpParams.create(rng, 2), lambda x, p, i: transition_up(x, p)
+    )),
+    "conv_block": (conv_block, _block(
+        lambda rng: ConvBlockParams.create(rng, 2, 2), lambda x, p, i: conv_block(x, p, "train")
+    )),
+    "sa_block": (sa_block, _block(
+        lambda rng: SABlockParams.create(rng, 2), lambda x, p, i: sa_block(x, p, "train")
+    )),
+    # x, h and c; both outputs are checked
+    "convlstm_step": (convlstm_step, _convlstm(lambda xs, p: convlstm_step(*xs, p))),
+    "convlstm_forward": (convlstm_forward, _convlstm(convlstm_forward)),
+}
+
+
+@pytest.mark.parametrize("row", GRADIENT_ROWS)
+def test_gradient_row(row):
+    with criterion(1, GRADIENT, row):
+        _, build = GRADIENT_ROWS[row]
+        for i in range(ROUNDS):
+            make, leaves = build(rngmod.stream(4000 + i, "acceptance-grad", row), i)
+            err = oracles.gradient_error(make, leaves, seed=i)
+            assert err < 1e-4, f"instance {i}: worst relative error {err}"
 
 
 def test_gradient_suite():
-    with criterion(1, "finite-difference gradient suite") as note:
-        t0 = time.time()
-        rounds = 20
-        seen = set()
-        for i in range(rounds):
-            rng = rngmod.stream(4000 + i, "acceptance-grad")
-            for name, make, tensors in _op_instances(rng, i):
-                seen.add(name)
-                check_gradients(make, tensors, tol=1e-4)
-        for i in range(rounds):
-            rng = rngmod.stream(5000 + i, "acceptance-grad-block")
-            for name, make, tensors in _block_instances(rng, i):
-                seen.add(name)
-                check_gradients(make, tensors, tol=1e-4)
+    """Every public op and block has a gradient row, and the assembled
+    miniature model's gradient holds at sampled parameter entries."""
+    with criterion(1, GRADIENT) as note:
+        public = {
+            name
+            for module in (tensor, blocks)
+            for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and not name.startswith("_")
+        }
+        covered = {fn.__name__ for fn, _ in GRADIENT_ROWS.values()}
+        assert covered == public - NO_GRADIENT_ROW, (
+            f"without a gradient row: {sorted(public - NO_GRADIENT_ROW - covered)}; "
+            f"rows of no public function: {sorted(covered - public)}"
+        )
 
-        # the assembled miniature model, spot checked on sampled parameters
         params = build_model(MINI)
-        prng = rngmod.stream(6000, "acceptance-grad-model")
-        x = Tensor(prng.standard_normal((6, 1, 16, 16)))
-
-        def model_loss():
-            return projected(forward(params, x, "train"), 60)
-
-        with Graph():
-            loss = model_loss()
-        backward(loss)
-        named = list(named_tensors(params))
-        analytic = {name: t.grad.copy() for name, t in named}
-        for _, t in named:
-            t.grad = None
-        worst = 0.0
-        for _ in range(30):
-            name, t = named[int(prng.integers(len(named)))]
-            flat = int(prng.integers(t.data.size))
-            ix = np.unravel_index(flat, t.data.shape)
-            keep = t.data[ix]
-            h = 1e-5
-            t.data[ix] = keep + h
-            fp = float(model_loss().data)
-            t.data[ix] = keep - h
-            fm = float(model_loss().data)
-            t.data[ix] = keep
-            fd = (fp - fm) / (2.0 * h)
-            a = analytic[name][ix]
-            err = abs(a - fd) / max(1.0, abs(a), abs(fd))
-            worst = max(worst, err)
-            assert err < 1e-3, f"{name}[{ix}]: analytic {a}, fd {fd}"
-        elapsed = time.time() - t0
-        assert elapsed < 300.0, f"gradient suite took {elapsed:.0f}s"
-        assert len(seen) == 22 + 8
+        x = Tensor(rngmod.stream(6000, "acceptance-grad-model").standard_normal((6, 1, 16, 16)))
+        leaves = [t for _, t in named_tensors(params)]
+        worst = oracles.gradient_error(lambda: forward(params, x, "train"), leaves, 60, samples=30)
+        assert worst < 1e-3, f"model worst relative error {worst}"
         note["detail"] = (
-            f" ({rounds} instances x {len(seen)} ops/blocks, model worst "
-            f"rel err {worst:.2e}, {elapsed:.0f}s)"
+            f" ({len(GRADIENT_ROWS)} rows x {ROUNDS} instances, model worst rel err {worst:.2e})"
         )
 
 
 # ---------------------------------------------------------------------------
 # criterion 2: oracle equivalence
+#
+# One row per op with a loop oracle: case(rng) draws one instance and returns
+# the op's output array and the oracle's. The shapes must agree, and the
+# values to a relative 1e-12, or bit for bit where the oracle does the op's
+# arithmetic in the op's order.
+
+ORACLE = "brute-force oracle equivalence"
+CASES = 1000
+
+
+def _conv2d_case(rng):
+    n, c, f = (int(v) for v in rng.integers(1, [3, 4, 4]))
+    k = 2 * int(rng.integers(0, 3)) + 1
+    h, w = (int(v) for v in rng.integers(1, 7, 2))
+    x, wt, b = (rng.standard_normal(s) for s in ((n, c, h, w), (f, c, k, k), (f,)))
+    got = conv2d(Tensor(x), Tensor(wt), Tensor(b)).data
+    return got, oracles.conv2d_loops(x, wt, b, pad=k // 2)
+
+
+def _conv_transpose2d_case(rng):
+    n, c, f, k = (int(v) for v in rng.integers(1, [3, 4, 4, 4]))
+    h, w = (int(v) for v in rng.integers(1, 6, 2))
+    x, wt = rng.standard_normal((n, c, h, w)), rng.standard_normal((c, f, k, k))
+    return conv_transpose2d(Tensor(x), Tensor(wt)).data, oracles.conv_transpose2d_loops(x, wt, 2)
+
+
+def _pool_case(op, oracle):
+    def case(rng):
+        n, c = (int(v) for v in rng.integers(1, [3, 4]))
+        h, w = (2 * int(v) for v in rng.integers(1, 5, 2))
+        x = rng.standard_normal((n, c, h, w))
+        return op(Tensor(x)).data, oracle(x, 2, 2)
+
+    return case
+
+
+def _batchnorm2d_case(mode):
+    def case(rng):
+        n, c, h, w = (int(v) for v in rng.integers([2, 1, 2, 2], [4, 4, 6, 6]))
+        x, gamma, beta = (rng.standard_normal(s) for s in ((n, c, h, w), c, c))
+        if mode == "train":
+            stats = np.zeros(c), np.ones(c)
+            want = oracles.batchnorm_train_twopass(x, gamma, beta)
+        else:
+            stats = rng.standard_normal(c), 0.5 + rng.random(c)
+            want = oracles.batchnorm_eval_direct(x, gamma, beta, *stats)
+        args = (Tensor(a) for a in (x, gamma, beta, *stats))
+        return batchnorm2d(*args, mode).data, want
+
+    return case
+
+
+# row name -> (case, compare bytes); the pooling oracles scan each window in
+# row-major order from 0.0, as the ops do
+ORACLE_ROWS = {
+    "conv2d": (_conv2d_case, False),
+    "conv_transpose2d": (_conv_transpose2d_case, False),
+    "maxpool2d": (_pool_case(maxpool2d, oracles.maxpool2d_loops), True),
+    "avgpool2d": (_pool_case(avgpool2d, oracles.avgpool2d_loops), True),
+    "batchnorm2d_train": (_batchnorm2d_case("train"), False),
+    "batchnorm2d_eval": (_batchnorm2d_case("eval"), False),
+}
+
+
+@pytest.mark.parametrize("row", ORACLE_ROWS)
+def test_oracle_row(row):
+    with criterion(2, ORACLE, row):
+        case, exact = ORACLE_ROWS[row]
+        rng = rngmod.stream(41, "acceptance-oracle", row)
+        for j in range(CASES):
+            got, want = case(rng)
+            assert got.shape == want.shape, f"case {j}: shape {got.shape}, oracle {want.shape}"
+            if exact:
+                assert got.tobytes() == want.tobytes(), f"case {j}"
+            else:
+                err = oracles.rel_err(got, want)
+                assert err <= 1e-12, f"case {j}: relative error {err}"
 
 
 def test_oracle_equivalence():
-    with criterion(2, "brute-force oracle equivalence") as note:
-        t0 = time.time()
+    """The confusion counts against a scan of every voxel."""
+    with criterion(2, ORACLE) as note:
         rng = rngmod.stream(41, "acceptance-oracle")
-        worst = 0.0
-
-        for _ in range(1000):
-            n = int(rng.integers(1, 3))
-            c = int(rng.integers(1, 4))
-            f = int(rng.integers(1, 4))
-            k = 2 * int(rng.integers(0, 3)) + 1
-            h = int(rng.integers(1, 7))
-            w = int(rng.integers(1, 7))
-            x = rng.standard_normal((n, c, h, w))
-            wt = rng.standard_normal((f, c, k, k))
-            b = rng.standard_normal(f)
-            got = conv2d(Tensor(x), Tensor(wt), Tensor(b))
-            ref = oracles.conv2d_loops(x, wt, b, stride=1, pad=k // 2)
-            worst = max(worst, oracles.rel_err(got.data, ref))
-
-        for j in range(1000):
-            n = int(rng.integers(1, 3))
-            c = int(rng.integers(1, 4))
-            h = 2 * int(rng.integers(1, 4))
-            w = 2 * int(rng.integers(1, 4))
-            x = rng.standard_normal((n, c, h, w))
-            if j % 2:
-                got = maxpool2d(Tensor(x))
-                ref = oracles.maxpool2d_loops(x, 2, 2)
-            else:
-                got = avgpool2d(Tensor(x))
-                ref = oracles.avgpool2d_loops(x, 2, 2)
-            worst = max(worst, oracles.rel_err(got.data, ref))
-
-        for j in range(1000):
-            n = int(rng.integers(2, 4))
-            c = int(rng.integers(1, 4))
-            h = int(rng.integers(2, 6))
-            w = int(rng.integers(2, 6))
-            x = rng.standard_normal((n, c, h, w))
-            gamma = rng.standard_normal(c)
-            beta = rng.standard_normal(c)
-            if j % 2:
-                rmean, rvar = Tensor(np.zeros(c)), Tensor(np.ones(c))
-                got = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rmean, rvar, "train")
-                ref = oracles.batchnorm_train_twopass(x, gamma, beta)
-            else:
-                rm = rng.standard_normal(c)
-                rv = 0.5 + rng.random(c)
-                rmean, rvar = Tensor(rm), Tensor(rv)
-                got = batchnorm2d(Tensor(x), Tensor(gamma), Tensor(beta), rmean, rvar, "eval")
-                ref = oracles.batchnorm_eval_direct(x, gamma, beta, rm, rv)
-            worst = max(worst, oracles.rel_err(got.data, ref))
-
-        for _ in range(1000):
+        for _ in range(CASES):
             dims = tuple(int(rng.integers(1, 5)) for _ in range(3))
             a = (rng.random(dims) < 0.4).astype(np.uint8)
             b = (rng.random(dims) < 0.4).astype(np.uint8)
             got = confusion(MaskVolume(a), MaskVolume(b))
-            ref = oracles.confusion_loops(a, b)
-            assert (got.tp, got.fp, got.fn, got.tn) == ref
-
-        elapsed = time.time() - t0
-        assert worst <= 1e-12, f"worst oracle disagreement {worst}"
-        assert elapsed < 120.0, f"oracle suite took {elapsed:.0f}s"
-        note["detail"] = f" (4000 cases, worst rel err {worst:.2e}, {elapsed:.0f}s)"
+            assert (got.tp, got.fp, got.fn, got.tn) == oracles.confusion_loops(a, b)
+        note["detail"] = f" ({len(ORACLE_ROWS)} op rows and confusion, {CASES} cases each)"
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +561,7 @@ def test_overfit_capacity():
         samples = _slice_samples(sorted(vols), vols)
         n = len(samples)
 
-        cfg = ModelConfig(num_scales=2, layers_per_dense_block=2, growth_rate=4,
-                          first_conv_filters=8, convlstm_hidden=6, dropout_p=0.0,
-                          seed=0)
-        params = build_model(cfg)
+        params = build_model(dataclasses.replace(MINI, seed=0))
         named = list(named_tensors(params))
         shuffle = rngmod.stream(0, "overfit-shuffle")
         order = shuffle.permutation(n)
@@ -603,10 +594,7 @@ def test_overfit_capacity():
         assert elapsed < 600.0, f"overfit run took {elapsed:.0f}s"
 
         # the plain variant must also learn: loss down after 50 steps
-        pcfg = ModelConfig(num_scales=2, layers_per_dense_block=2, growth_rate=4,
-                           first_conv_filters=8, convlstm_hidden=6, dropout_p=0.0,
-                           use_sa=False, use_clstm=False, seed=0)
-        pparams = build_model(pcfg)
+        pparams = build_model(dataclasses.replace(MINI, use_sa=False, use_clstm=False, seed=0))
         pnamed = list(named_tensors(pparams))
         probe_x, probe_gt = _training_batch(samples, np.arange(8))
 
@@ -693,8 +681,7 @@ def test_determinism_and_persistence(small_workspace, tmp_path):
         }
         samples = _slice_samples(sorted(vols), vols)
         n = len(samples)
-        cfg = ModelConfig(num_scales=2, layers_per_dense_block=2, growth_rate=4,
-                          first_conv_filters=8, convlstm_hidden=6, dropout_p=0.0, seed=9)
+        cfg = dataclasses.replace(MINI, seed=9)
 
         def ten_losses():
             params = build_model(cfg)

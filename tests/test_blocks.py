@@ -1,4 +1,5 @@
-"""Composite block semantics, oracles, and gradient checks."""
+"""Composite block semantics and oracles. Each block's finite-difference
+check is a gradient row in test_acceptance."""
 
 import math
 import tracemalloc
@@ -30,7 +31,6 @@ from msseg.errors import ShapeError
 from msseg.tensor import Graph, Tensor, backward, batchnorm2d, concat_channels, mul, sum_all
 
 import oracles
-from test_autodiff import gradcheck, projection
 
 
 def t(a):
@@ -42,12 +42,6 @@ def down_params(rng, channels: int) -> DenseLayerParams:
     return DenseLayerParams(
         BatchNormParams.create(channels), ConvParams.create(rng, channels, channels, 1), 0.0
     )
-
-
-def bn_params(gamma: Tensor, beta: Tensor) -> BatchNormParams:
-    """Batchnorm parameters around given gamma/beta with fresh running statistics."""
-    c = gamma.data.shape[0]
-    return BatchNormParams(gamma, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)))
 
 
 def zero_conv(p: ConvParams):
@@ -139,7 +133,8 @@ def _train_dense_step(block_fn):
     x = Tensor(x, requires_grad=True)
     with Graph():
         out = block_fn(x, p, "train", rngmod.stream(58, "db-ladder-drop"))
-        loss = projection(out, 5858)
+        r = rngmod.stream(58, "db-ladder-r").standard_normal(out.data.shape)
+        loss = sum_all(mul(out, Tensor(r)))
     backward(loss)
     leaves = [x] + [a for lay in p for a in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b)]
     stats = [a.data for lay in p for a in (lay.bn.running_mean, lay.bn.running_var)]
@@ -211,31 +206,6 @@ def test_dense_block_bad_ladder_rejected_at_first_forward(in_ch, growth, match):
         dense_block(t(rng.standard_normal((1, 4, 4, 4))), [good, bad], "eval")
 
 
-def test_dense_block_gradcheck():
-    rng = rngmod.stream(57, "db-grad")
-    p = dense_block_params(rng, 2, 2, 2, 0.0)
-    x = rng.standard_normal((2, 2, 4, 4))
-    arrays = [x]
-    slots = []
-    for lay in p:
-        for tens in (lay.bn.gamma, lay.bn.beta, lay.conv.w, lay.conv.b):
-            arrays.append(tens.data.copy())
-            slots.append(tens)
-
-    def make(ts):
-        lp = [
-            DenseLayerParams(
-                bn_params(ts[1 + 4 * i], ts[2 + 4 * i]),
-                ConvParams(ts[3 + 4 * i], ts[4 + 4 * i]),
-                0.0,
-            )
-            for i in range(2)
-        ]
-        return projection(dense_block(ts[0], lp, "train"), 5757)
-
-    gradcheck(make, arrays)
-
-
 # ---------------------------------------------------------------------------
 # transitions
 
@@ -269,25 +239,6 @@ def test_transition_down_tiny_input_rejected():
         transition_down(t(np.ones((1, 1, 1, 4))), p, "eval")
 
 
-def test_transition_down_gradcheck():
-    rng = rngmod.stream(61, "td-grad")
-    p = down_params(rng, 2)
-    x = rng.standard_normal((2, 2, 4, 4))
-
-    def make(ts):
-        tp = DenseLayerParams(
-            bn_params(ts[1], ts[2]),
-            ConvParams(ts[3], ts[4]),
-            0.0,
-        )
-        return projection(transition_down(ts[0], tp, "train"), 6161)
-
-    gradcheck(
-        make,
-        [x, p.bn.gamma.data.copy(), p.bn.beta.data.copy(), p.conv.w.data.copy(), p.conv.b.data.copy()],
-    )
-
-
 def test_transition_up_doubles_geometry_and_round_trip():
     rng = rngmod.stream(62, "tu")
     p = TransitionUpParams.create(rng, 3)
@@ -308,17 +259,6 @@ def test_transition_up_zero_kernel():
     np.testing.assert_array_equal(out.data, 0.0)
 
 
-def test_transition_up_gradcheck():
-    rng = rngmod.stream(64, "tu-grad")
-    p = TransitionUpParams.create(rng, 2)
-    x = rng.standard_normal((1, 2, 3, 3))
-
-    def make(ts):
-        return projection(transition_up(ts[0], TransitionUpParams(ts[1])), 6464)
-
-    gradcheck(make, [x, p.w.data.copy()])
-
-
 # ---------------------------------------------------------------------------
 # conv_block and squeeze attention
 
@@ -330,26 +270,6 @@ def test_conv_block_nonnegative_and_shape():
     out = conv_block(x, p, "train")
     assert out.data.shape == (2, 5, 6, 6)
     assert np.all(out.data >= 0.0)
-
-
-def test_conv_block_gradcheck():
-    rng = rngmod.stream(66, "cb-grad")
-    p = ConvBlockParams.create(rng, 2, 2)
-    x = rng.standard_normal((2, 2, 3, 3))
-    arrays = [x, p.conv1.w.data.copy(), p.conv1.b.data.copy(), p.bn1.gamma.data.copy(),
-              p.bn1.beta.data.copy(), p.conv2.w.data.copy(), p.conv2.b.data.copy(),
-              p.bn2.gamma.data.copy(), p.bn2.beta.data.copy()]
-
-    def make(ts):
-        cp = ConvBlockParams(
-            ConvParams(ts[1], ts[2]),
-            bn_params(ts[3], ts[4]),
-            ConvParams(ts[5], ts[6]),
-            bn_params(ts[7], ts[8]),
-        )
-        return projection(conv_block(ts[0], cp, "train"), 6666)
-
-    gradcheck(make, arrays)
 
 
 def zeroed_sa(rng, channels):
@@ -403,34 +323,6 @@ def test_sa_block_divisibility_enforced():
     p = SABlockParams.create(rng, 1)
     with pytest.raises(ShapeError, match="divisible"):
         sa_block(t(np.ones((1, 1, 5, 4))), p, "eval")
-
-
-def test_sa_block_gradcheck():
-    rng = rngmod.stream(72, "sa-grad")
-    p = SABlockParams.create(rng, 1)
-    x = rng.standard_normal((1, 1, 4, 4))
-    tensors = [
-        p.attn1.conv1.w, p.attn1.conv1.b, p.attn1.bn1.gamma, p.attn1.bn1.beta,
-        p.attn1.conv2.w, p.attn1.conv2.b, p.attn1.bn2.gamma, p.attn1.bn2.beta,
-        p.attn2.conv1.w, p.attn2.conv1.b, p.attn2.bn1.gamma, p.attn2.bn1.beta,
-        p.attn2.conv2.w, p.attn2.conv2.b, p.attn2.bn2.gamma, p.attn2.bn2.beta,
-    ]
-    arrays = [x] + [q.data.copy() for q in tensors]
-
-    def make(ts):
-        sp = SABlockParams(
-            ConvBlockParams(
-                ConvParams(ts[1], ts[2]), bn_params(ts[3], ts[4]),
-                ConvParams(ts[5], ts[6]), bn_params(ts[7], ts[8]),
-            ),
-            ConvBlockParams(
-                ConvParams(ts[9], ts[10]), bn_params(ts[11], ts[12]),
-                ConvParams(ts[13], ts[14]), bn_params(ts[15], ts[16]),
-            ),
-        )
-        return projection(sa_block(ts[0], sp, "train"), 7272)
-
-    gradcheck(make, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -568,42 +460,3 @@ def test_convlstm_cell_bound_invariant():
     assert np.all(np.abs(c1.data) <= np.abs(c0.data) + 1.0 + 1e-12)
 
 
-def test_convlstm_gradcheck():
-    rng = rngmod.stream(81, "lstm-grad")
-    p = ConvLSTMParams.create(rng, 1, 1)
-    seq_arrays = [rng.standard_normal((1, 1, 3, 3)) for _ in range(3)]
-    gate_tensors = []
-    for gate in (p.input, p.forget, p.cell, p.output):
-        gate_tensors.extend([gate.w, gate.b])
-    arrays = seq_arrays + [q.data.copy() for q in gate_tensors]
-
-    def make(ts):
-        gp = ConvLSTMParams(
-            ConvParams(ts[3], ts[4]),
-            ConvParams(ts[5], ts[6]),
-            ConvParams(ts[7], ts[8]),
-            ConvParams(ts[9], ts[10]),
-        )
-        return projection(convlstm_forward(ts[:3], gp), 8181)
-
-    gradcheck(make, arrays)
-
-
-def test_dense_layer_gradcheck():
-    rng = rngmod.stream(82, "dl-grad")
-    p = DenseLayerParams.create(rng, 2, 2, 0.3)
-    x = rng.standard_normal((2, 2, 4, 4))
-
-    def make(ts):
-        lp = DenseLayerParams(
-            bn_params(ts[1], ts[2]),
-            ConvParams(ts[3], ts[4]),
-            0.3,
-        )
-        r = rngmod.stream(8282, "dl-drop")
-        return projection(dense_layer(ts[0], lp, "train", r), 8282)
-
-    gradcheck(
-        make,
-        [x, p.bn.gamma.data.copy(), p.bn.beta.data.copy(), p.conv.w.data.copy(), p.conv.b.data.copy()],
-    )

@@ -25,18 +25,12 @@ from msseg.checkpoint import (
 )
 from msseg.config import TrainConfig, format_value, load_config, parse_config_text
 from msseg.errors import ConfigError, FileFormatError
-from msseg.model import ModelConfig, build_model, forward, named_tensors
+from msseg.model import ModelConfig, build_model, forward
 from msseg.tensor import Tensor
 
-MINI = ModelConfig(
-    num_scales=2,
-    layers_per_dense_block=2,
-    growth_rate=4,
-    first_conv_filters=8,
-    convlstm_hidden=6,
-    dropout_p=0.0,
-    seed=21,
-)
+import oracles
+
+MINI = dataclasses.replace(oracles.MINI, seed=21)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +269,28 @@ def test_checkpoint_save_streams_its_arrays(tmp_path):
         record_bytes(name.encode("utf-8"), arr) for name, arr in ckpt.arrays.items()
     )
     assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+
+
+def test_checkpoint_load_holds_the_payload_once(tmp_path):
+    # 3.6 MB over the miniature's 182 records, so their fixed cost of about
+    # 0.6 KB each is 3% of it
+    wide = dataclasses.replace(MINI, growth_rate=12, first_conv_filters=24, convlstm_hidden=24)
+    ckpt = checkpoint_from_model(build_model(wide), TrainConfig())
+    path = tmp_path / "model.msckpt"
+    save_checkpoint(ckpt, str(path))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the records are views of the one read buffer; a read then a copy of
+    # each record, or a second read, holds the payload twice
+    assert peak < 1.1 * sum(a.nbytes for a in ckpt.arrays.values())
+    assert loaded.arrays.keys() == ckpt.arrays.keys()
+    for name, arr in ckpt.arrays.items():
+        assert loaded.arrays[name].tobytes() == arr.tobytes()
 
 
 def test_checkpoint_refuses_repeated_record(tmp_path):
