@@ -14,7 +14,12 @@ plus channel softmax emits the two-class probability map.
 ``forward`` runs both on a triplet batch: the 3B slices ride through the
 encoder as one batch (previous slices first, then centers, then next
 slices), which is what makes the per-slice encoder weights shared by
-construction. Nothing in ``encode`` mixes samples in eval mode, so a
+construction. Eval mode holds each activation only until its last reader:
+``encode`` lets a scale's dense-block output go once the skip concat has
+copied it and its attention output once ``transition_down`` has read it,
+and an eval forward keeps only the center slices' skips and the bottleneck
+time steps through ``decode``. A train-mode tape holds what its vjps read
+either way. Nothing in ``encode`` mixes samples in eval mode, so a
 slice's features are the same in every triplet that holds it; volume
 inference (``train.predict_with_params``) therefore encodes each slice
 once and decodes every triplet from those features.
@@ -354,11 +359,14 @@ def encode(params: ModelParams, x: Tensor, mode: str, rng=None) -> tuple[list, T
     stream = conv2d(x, params.stem.w, params.stem.b)
     skips = []
     for sc in params.downsampling:
-        d = dense_block(stream, sc.dense, mode, rng)
-        sk = concat_channels([stream, d])
-        skips.append(sk)
-        gated = sa_block(sk, sc.sa, mode) if sc.sa is not None else sk
-        stream = transition_down(gated, sc.down, mode, rng)
+        # ``stream`` is rebound as each stage's one reader returns, so the
+        # scale's input, its dense-block output and its attention output are
+        # each let go after their last read
+        stream = concat_channels([stream, dense_block(stream, sc.dense, mode, rng)])
+        skips.append(stream)
+        if sc.sa is not None:
+            stream = sa_block(stream, sc.sa, mode)
+        stream = transition_down(stream, sc.down, mode, rng)
     return skips, dense_block(stream, params.bottleneck.dense, mode, rng)
 
 
@@ -389,7 +397,9 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
     """Map an input triplet batch (3B, 1, H, W) to (B, 2, H, W) probabilities.
 
     The batch axis is time-major: the first B samples are the previous
-    slices, the middle B the centers, the last B the next slices.
+    slices, the middle B the centers, the last B the next slices. In eval
+    mode only the center slices' skips and the bottleneck time steps are
+    held through ``decode``; the 3B-slice encoder features are freed first.
     """
     if x.data.ndim != 4 or x.data.shape[1] != 1:
         raise ShapeError(f"forward expects (3B, 1, H, W) input, got {x.shape}")
@@ -405,6 +415,8 @@ def forward(params: ModelParams, x: Tensor, mode: str, rng=None) -> Tensor:
     # without the ConvLSTM, decode reads the center step only
     ks = range(3) if params.bottleneck.lstm is not None else (1,)
     steps = [slice_batch(db, k * b, (k + 1) * b) for k in ks]
+    # the slices above are copies, so in eval mode this frees the 3B-slice features
+    del skips, db
     return decode(params, center_skips, steps, mode, rng)
 
 

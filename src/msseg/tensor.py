@@ -205,26 +205,35 @@ def backward(loss: Tensor) -> None:
             _accumulate(slot, g)
 
 
+SGD_CHUNK = 1 << 14
+
+
 def sgd_step(named_params: Iterable[tuple[str, Tensor]], lr: float, weight_decay: float = 0.0) -> None:
     """One SGD update: p <- p - lr * (grad + weight_decay * p).
 
-    Each update is built in one scratch array, sized to the largest
-    parameter and reused, in the order of that expression, so the result is
-    the expression's bit for bit. Clears every gradient afterwards. A
-    parameter without a gradient is a bug in the caller's graph wiring, so
-    it raises by name instead of silently skipping.
+    Each parameter is updated ``SGD_CHUNK`` elements at a time: a chunk's
+    step is built in one fixed scratch array, which stays in cache, in the
+    order of that expression, so the result is the expression's bit for bit.
+    Clears every gradient afterwards. A parameter without a gradient is a
+    bug in the caller's graph wiring, so it raises by name instead of
+    silently skipping.
     """
     pairs = list(named_params)
     for name, p in pairs:
         if p.grad is None:
             raise ValueError(f"parameter {name!r} has no gradient; was backward run?")
-    scratch = np.empty(max((p.data.size for _, p in pairs), default=0))
+    scratch = np.empty(SGD_CHUNK)
     for name, p in pairs:
-        step = scratch[:p.data.size].reshape(p.data.shape)
-        np.multiply(p.data, weight_decay, out=step)
-        step += p.grad
-        step *= lr
-        p.data -= step
+        if not p.data.flags.c_contiguous:
+            p.data = np.ascontiguousarray(p.data)
+        data, grad = p.data.reshape(-1), p.grad.reshape(-1)
+        for lo in range(0, data.size, SGD_CHUNK):
+            chunk = data[lo:lo + SGD_CHUNK]
+            step = scratch[:chunk.size]
+            np.multiply(chunk, weight_decay, out=step)
+            step += grad[lo:lo + SGD_CHUNK]
+            step *= lr
+            chunk -= step
         p.grad = None
 
 
@@ -516,8 +525,13 @@ def _shifted_correlate(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     p = k // 2
     gap = p * (wd + 1)
     row = hw + gap
-    flat = np.zeros(gap + k * k * f * row)
-    prod = flat[gap:].reshape(k * k * f, row)[:, :hw]
+    # the GEMM writes every product column, so only the gaps are zeroed;
+    # the buffer may hold stale values from the heap
+    flat = np.empty(gap + k * k * f * row)
+    flat[:gap] = 0.0
+    rows = flat[gap:].reshape(k * k * f, row)
+    rows[:, hw:] = 0.0
+    prod = rows[:, :hw]
     # tap column j reads column x + j - p for output column x; where that
     # passes an edge it reads the neighbouring image row's first j - p
     # (j > p) or last p - j (j < p) columns, which are zeroed

@@ -11,6 +11,7 @@ import pytest
 from msseg import rng as rngmod
 from msseg.errors import ShapeError
 from msseg.tensor import (
+    SGD_CHUNK,
     Graph,
     Tensor,
     _emit,
@@ -164,6 +165,24 @@ def test_gradients_accumulate_across_graphs_until_sgd_step():
         assert t.grad.tobytes() == (first + second).tobytes()
     sgd_step([("w", leaves[0]), ("v", leaves[1])], lr=0.5)
     assert all(t.grad is None for t in leaves)
+
+
+def test_sgd_step_by_chunks_is_the_update_expression_bit_for_bit():
+    # one parameter spans three whole chunks and part of a fourth, one is
+    # column-major, one is smaller than a chunk
+    rng = rngmod.stream(8, "sgd-chunks")
+    lr, wd = 0.05, 1e-4
+    arrays = [rng.standard_normal((7, SGD_CHUNK // 2 + 3)),
+              np.asfortranarray(rng.standard_normal((9, 4001))),
+              rng.standard_normal(5)]
+    params = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    grads = [rng.standard_normal(a.shape) for a in arrays]
+    for p, g in zip(params, grads):
+        p.grad = g
+    sgd_step([(str(i), p) for i, p in enumerate(params)], lr, wd)
+    for a, g, p in zip(arrays, grads, params):
+        assert p.data.shape == a.shape and p.grad is None
+        assert p.data.tobytes() == (a - lr * (g + wd * a)).tobytes()
 
 
 # ---------------------------------------------------------------------------

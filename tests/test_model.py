@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,67 @@ def test_eval_forward_deterministic():
     rng = rngmod.stream(97, "det")
     x = triplet(rng, 1, 32, 32)
     np.testing.assert_array_equal(forward(m, x, "eval").data, forward(m, x, "eval").data)
+
+
+def test_eval_forward_frees_encoder_features_after_their_last_reader(monkeypatch):
+    # Weakrefs to arrays that must be dead when the next block runs: each
+    # encoder scale's dense-block output once the skip concat has copied it,
+    # its attention output once transition_down has read it, and, at decode
+    # entry, encode's full-batch skips and bottleneck output.
+    real = {name: getattr(model, name)
+            for name in ("encode", "decode", "dense_block", "sa_block", "transition_down")}
+    spent, readers, encoding, attention = [], [], [], []
+
+    def reader(name):
+        live = [what for what, ref in spent if ref() is not None]
+        assert not live, f"{name} runs while {live} are alive"
+        readers.append(name)
+
+    def spend(what, t):
+        spent.append((what, weakref.ref(t.data)))
+
+    def encode(*args, **kwargs):
+        encoding.append(True)
+        skips, db = real["encode"](*args, **kwargs)
+        encoding.clear()
+        for i, sk in enumerate(skips):
+            spend(f"full-batch skip {i}", sk)
+        spend("full-batch bottleneck output", db)
+        return skips, db
+
+    def decode(*args, **kwargs):
+        reader("decode")
+        return real["decode"](*args, **kwargs)
+
+    def dense_block(*args, **kwargs):
+        reader("dense_block")
+        out = real["dense_block"](*args, **kwargs)
+        if encoding:
+            spend(f"encoder dense block {readers.count('dense_block') - 1} output", out)
+        return out
+
+    def sa_block(*args, **kwargs):
+        reader("sa_block")
+        out = real["sa_block"](*args, **kwargs)
+        if encoding:
+            attention.append(out)
+        return out
+
+    def transition_down(*args, **kwargs):
+        reader("transition_down")
+        out = real["transition_down"](*args, **kwargs)
+        spend(f"encoder attention {readers.count('transition_down') - 1} output", attention.pop())
+        return out
+
+    for name, fn in (("encode", encode), ("decode", decode), ("dense_block", dense_block),
+                     ("sa_block", sa_block), ("transition_down", transition_down)):
+        monkeypatch.setattr(model, name, fn)
+    assert MINI.use_sa and MINI.use_clstm and MINI.num_scales == 2
+    forward(build_model(MINI), triplet(rngmod.stream(98, "liveness"), 2, 16, 16), "eval")
+    # 3 encoder dense blocks, 2 attention outputs, 2 skips, the bottleneck
+    assert len(spent) == 8
+    assert readers == ["dense_block", "sa_block", "transition_down"] * 2 + [
+        "dense_block", "decode"] + ["dense_block", "sa_block"] * 2
 
 
 # ---------------------------------------------------------------------------

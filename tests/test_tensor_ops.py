@@ -139,6 +139,24 @@ def test_shifted_conv2d_is_batch_invariant():
             np.testing.assert_array_equal(permuted[perm.index(s)], alone)
 
 
+def test_shifted_conv2d_does_not_depend_on_reused_heap_memory():
+    # kn2row's product and accumulator come from np.empty; under the import's
+    # heap policy a freed block of their size backs them next, so a value it
+    # reads but never writes, such as a gap standing in for the padding,
+    # would carry these NaNs into the second call's output
+    rng = rngmod.stream(16, "conv-poisoned-heap")
+    n, c, f, h, w_, k = 2, 48, 12, 32, 32, 3
+    x = t(rng.standard_normal((n, c, h, w_)))
+    wt, b = t(rng.standard_normal((f, c, k, k))), t(rng.standard_normal(f))
+    first = conv2d(x, wt, b).data
+    gap = (k // 2) * (w_ + 1)
+    row = h * w_ + gap
+    poison = [np.full(size, np.nan) for size in (gap + k * k * f * row, f * row)]
+    del poison
+    second = conv2d(x, wt, b).data
+    assert second.tobytes() == first.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # conv_transpose2d
 
